@@ -8,7 +8,6 @@
 
 use crate::binomial::binomial;
 use crate::gosper::GosperIter;
-use crate::ranking::rank_combination;
 
 /// The subspace of `n`-bit strings with Hamming weight `k`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,6 +17,9 @@ pub struct DickeSubspace {
     /// All basis states in increasing numeric order; `states[i]` is the state with
     /// dense index `i`.
     states: Vec<u64>,
+    /// `C(p, i)` at `p·(k+1) + i` for `p < n`, `i ≤ k`: the ranking terms, so
+    /// [`DickeSubspace::index_of`] costs `k` table reads.
+    choose: Vec<u64>,
 }
 
 impl DickeSubspace {
@@ -32,7 +34,15 @@ impl DickeSubspace {
         let dim = binomial(n, k);
         let states: Vec<u64> = GosperIter::new(n, k).collect();
         debug_assert_eq!(states.len() as u64, dim);
-        DickeSubspace { n, k, states }
+        let choose = (0..n)
+            .flat_map(|p| (0..=k).map(move |i| binomial(p, i)))
+            .collect();
+        DickeSubspace {
+            n,
+            k,
+            states,
+            choose,
+        }
     }
 
     /// Number of qubits.
@@ -78,7 +88,15 @@ impl DickeSubspace {
             self.k
         );
         debug_assert!(state < (1u64 << self.n));
-        rank_combination(state) as usize
+        // The combinatorial number system of `rank_combination`, from the table.
+        let mut rank = 0;
+        let mut rest = state;
+        for i in 1..=self.k {
+            let pos = rest.trailing_zeros() as usize;
+            rank += self.choose[pos * (self.k + 1) + i];
+            rest &= rest - 1;
+        }
+        rank as usize
     }
 
     /// Whether a basis state belongs to this subspace.
@@ -116,6 +134,7 @@ impl DickeSubspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::rank_combination;
 
     #[test]
     fn dimension_matches_binomial() {
@@ -129,10 +148,13 @@ mod tests {
 
     #[test]
     fn index_of_inverts_state_at() {
-        let s = DickeSubspace::new(10, 4);
-        for (i, state) in s.iter() {
-            assert_eq!(s.index_of(state), i);
-            assert_eq!(s.state_at(i), state);
+        for (n, k) in [(10, 4), (1, 0), (1, 1), (7, 7), (12, 6)] {
+            let s = DickeSubspace::new(n, k);
+            for (i, state) in s.iter() {
+                assert_eq!(s.index_of(state), i);
+                assert_eq!(s.index_of(state) as u64, rank_combination(state));
+                assert_eq!(s.state_at(i), state);
+            }
         }
     }
 

@@ -9,18 +9,6 @@
 
 use crate::xy::SubspaceMixer;
 use juliqaoa_linalg::RealMatrix;
-use serde::{Deserialize, Serialize};
-
-/// Serialisable eigendecomposition of a subspace mixer (what [`crate::cache`] stores).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SubspaceMixerData {
-    /// Human-readable mixer name.
-    pub name: String,
-    /// Eigenvalues of the mixer Hamiltonian.
-    pub eigenvalues: Vec<f64>,
-    /// Orthogonal eigenvector matrix (columns are eigenvectors).
-    pub eigenvectors: RealMatrix,
-}
 
 /// A user-defined mixer built from an arbitrary real symmetric Hamiltonian.
 pub struct CustomMixer;

@@ -1,25 +1,27 @@
 //! The unified mixer type consumed by the simulator.
 //!
-//! [`Mixer`] wraps the three pre-computed mixer families behind one interface:
+//! [`Mixer`] wraps the three mixer families behind one interface:
 //! `apply_evolution` applies `e^{-iβ H_M}` in place and `apply_hamiltonian` applies
 //! `H_M` itself (needed by the adjoint gradient).  Both take a caller-provided scratch
-//! buffer so repeated simulation rounds never allocate — the "pre-allocate and re-use
-//! memory, allowing for functionally zero overhead" point of §2.2.
+//! buffer, and the Clique mixer keeps its Lanczos basis in a per-thread workspace, so repeated simulation rounds never allocate a statevector — the
+//! "pre-allocate and re-use memory, allowing for functionally zero overhead" point of
+//! §2.2.  Clique and Ring evolutions are matrix-free; only custom subspace mixers pay
+//! for a dense eigendecomposition.
 
 use crate::grover::GroverMixer;
 use crate::pauli_x::PauliXMixer;
 use crate::xy::SubspaceMixer;
 use juliqaoa_linalg::{walsh, Complex64};
 
-/// A pre-computed mixer Hamiltonian, ready to apply to a statevector.
+/// A mixer Hamiltonian, ready to apply to a statevector.
 #[derive(Clone, Debug)]
 pub enum Mixer {
     /// Sum of Pauli-X strings on the full `2ⁿ` space, diagonalised by `H^{⊗n}`.
     PauliX(PauliXMixer),
     /// The Grover mixer `|ψ₀⟩⟨ψ₀|` on a feasible set of any dimension.
     Grover(GroverMixer),
-    /// A mixer on a feasible subspace applied through its eigendecomposition
-    /// (Clique, Ring, or custom).
+    /// A mixer on a feasible subspace: Clique and Ring applied matrix-free, custom
+    /// mixers through their dense eigendecomposition.
     Subspace(SubspaceMixer),
 }
 

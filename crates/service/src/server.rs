@@ -1233,6 +1233,11 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         k.wht_passes,
     );
     w.counter(
+        "kernel_xy_matvecs",
+        "Sparse XY-mixer Hamiltonian mat-vecs on a Dicke subspace.",
+        kernels::KERNELS.xy_matvecs.get(),
+    );
+    w.counter(
         "kernel_prefix_checkpoint_hits",
         "Evolutions resumed from a prefix checkpoint.",
         k.prefix_checkpoint_hits,

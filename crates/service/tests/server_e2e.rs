@@ -341,6 +341,7 @@ fn prometheus_exposition_and_trace_ring_over_http() {
     assert!(body.contains("\njob_total_ms_count 1\n"));
     assert!(body.contains("# TYPE job_prep_ms histogram"));
     assert!(body.contains("# TYPE kernel_wht_passes counter"));
+    assert!(body.contains("# TYPE kernel_xy_matvecs counter"));
     assert!(body.contains("# TYPE engine_cache_misses counter"));
     assert!(body.contains("# TYPE trace_spans_dropped counter"));
     // Exemplar comment lines link the latency histograms to the last job's

@@ -1,6 +1,6 @@
 //! Process-wide kernel profiling counters.
 //!
-//! The simulator core, optimizers and sampler record into these statics with a
+//! The simulator core, mixers, optimizers and sampler record into these statics with a
 //! single relaxed `fetch_add` per event — no locks, no allocation, no effect on
 //! floating-point evaluation order, so instrumented kernels produce bit-identical
 //! numbers. Counters are process-global and never reset; consumers interested in
@@ -21,6 +21,9 @@ pub struct Kernels {
     pub fused_grover_rounds: Counter,
     /// Walsh–Hadamard transform passes over a statevector.
     pub wht_passes: Counter,
+    /// Sparse XY-mixer Hamiltonian mat-vecs (`H·v` on a Dicke subspace).  Not a
+    /// [`KernelSnapshot`] field yet; read it with `KERNELS.xy_matvecs.get()`.
+    pub xy_matvecs: Counter,
     /// Prefix-cache checkpoint hits (evolutions resumed mid-circuit).
     pub prefix_checkpoint_hits: Counter,
     /// Prefix-cache misses (evolutions started from round 0).
@@ -39,6 +42,7 @@ pub static KERNELS: Kernels = Kernels {
     dense_phase_applies: Counter::new(),
     fused_grover_rounds: Counter::new(),
     wht_passes: Counter::new(),
+    xy_matvecs: Counter::new(),
     prefix_checkpoint_hits: Counter::new(),
     prefix_cold_starts: Counter::new(),
     prefix_rounds_saved: Counter::new(),

@@ -2,13 +2,13 @@
 //!
 //! The feasible states are the `C(n,k)` bitstrings with Hamming weight `k`; the cost
 //! vector, mixer matrix and statevector all live in that subspace, never in the full
-//! `2ⁿ` space.  The Clique-mixer eigendecomposition is cached to a file so a second run
-//! (or a larger experiment re-using the same mixer) skips the expensive pre-computation,
-//! exactly like `mixer_clique(n, k; file=...)`.
+//! `2ⁿ` space.  JuliQAOA caches the Clique-mixer eigendecomposition to a file
+//! (`mixer_clique(n, k; file=...)`); here the mixer is matrix-free, so building it takes
+//! milliseconds and there is nothing to cache.
 //!
 //! Run with: `cargo run --release --example constrained_densest_subgraph`
 
-use juliqaoa::mixers::{cache, Mixer};
+use juliqaoa::mixers::Mixer;
 use juliqaoa::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,18 +30,9 @@ fn main() {
         1u64 << n
     );
 
-    // Load the Clique mixer from the cache, or compute and store it.
-    let cache_path = std::env::temp_dir().join(format!("juliqaoa_clique_{n}_{k}.json"));
-    let (mixer, elapsed) = {
-        let start = std::time::Instant::now();
-        let m = cache::clique_mixer_cached(n, k, &cache_path).expect("cache file is writable");
-        (Mixer::Subspace(m), start.elapsed())
-    };
-    println!(
-        "Clique mixer ready in {:.2?} (cached at {}; delete it to force recomputation)",
-        elapsed,
-        cache_path.display()
-    );
+    let start = std::time::Instant::now();
+    let mixer = Mixer::clique(n, k);
+    println!("Clique mixer ready in {:.2?}", start.elapsed());
 
     // Optimize angles for increasing p with the iterative extrapolation strategy.
     let best = juliqaoa_problems::precompute::max_objective(&obj_vals);

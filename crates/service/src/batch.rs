@@ -34,9 +34,9 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Summary of a batch run.
@@ -162,21 +162,12 @@ pub fn run_batch(
 /// the engine's per-stage children — mirroring every span to `trace_path` as
 /// JSONL when set.
 fn batch_span_collector(trace_path: Option<&Path>) -> Result<Arc<SpanCollector>, ServiceError> {
-    let spans = Arc::new(SpanCollector::new(
-        crate::spans::default_trace_cap(),
-        crate::spans::collector_salt(),
-    ));
-    if let Some(path) = trace_path {
-        let file = File::create(path)
-            .map_err(|e| ServiceError::Io(format!("creating {}: {e}", path.display())))?;
-        let out = Arc::new(Mutex::new(std::io::BufWriter::new(file)));
-        spans.set_sink(Box::new(move |span: &Span| {
-            let mut w = out.lock().expect("trace out lock");
-            let _ = writeln!(w, "{}", span.to_json_line());
-            let _ = w.flush();
-        }));
-    }
-    Ok(spans)
+    crate::ops::traced_spans(trace_path, crate::spans::default_trace_cap())
+        .map(|(spans, _)| spans)
+        .map_err(|e| {
+            let path = trace_path.map(|p| p.display().to_string());
+            ServiceError::Io(format!("creating {}: {e}", path.unwrap_or_default()))
+        })
 }
 
 /// [`run_batch`] with explicit fault-tolerance options.

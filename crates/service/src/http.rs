@@ -189,6 +189,15 @@ pub fn write_json_with_headers(
     write_body(stream, status, "application/json", headers, json);
 }
 
+/// Writes already-serialised `json` with `status`, or a `500` when
+/// serialisation failed.
+pub fn write_json_or_500<E>(stream: &mut TcpStream, status: u16, json: Result<String, E>) {
+    match json {
+        Ok(json) => write_json(stream, status, &json),
+        Err(_) => write_error(stream, 500, "serialisation failed"),
+    }
+}
+
 /// Writes a response with a caller-chosen `Content-Type` (the Prometheus
 /// `/metrics` endpoint serves `text/plain; version=0.0.4`) and flushes; errors
 /// are ignored (the client is gone).

@@ -15,6 +15,10 @@
 //!   `InstanceId` onto backend serve processes ([`cluster`]), with health-checked
 //!   circuit breakers, deterministic seeded failover and optional hedged reads.
 //!
+//! Serve and route run on one [`ops`] layer: the accept loop, the lifecycle
+//! trace and the `/healthz`, `/readyz`, `/shutdown`, `/trace`, `/trace/:id`
+//! and `/version` endpoints.
+//!
 //! Everything is observable first-class: `GET /metrics` serves Prometheus text
 //! exposition (counters, kernel profiling counters and per-stage latency
 //! histograms from [`engine::EngineTelemetry`]), each [`spec::JobResult`]
@@ -42,6 +46,7 @@ pub mod fault;
 pub mod http;
 pub mod journal;
 pub mod lru;
+pub mod ops;
 pub mod retry;
 pub mod router;
 pub mod server;
@@ -59,9 +64,10 @@ pub use engine::{
 pub use fault::{FaultPlan, PanicFault, WriteFault};
 pub use journal::{FsyncPolicy, Journal, LineCheck, RecoveryReport};
 pub use lru::{LruCache, ShardedLru};
+pub use ops::{TraceBody, TraceEvent};
 pub use retry::RetryPolicy;
 pub use router::{Router, RouterConfig, RouterStatsBody};
-pub use server::{JobStatusBody, MetricsBody, Server, ServerConfig, TraceBody, TraceEvent};
+pub use server::{JobStatusBody, MetricsBody, Server, ServerConfig};
 pub use spans::{DEFAULT_TRACE_CAPACITY, TRACE_CAP_ENV, TRACE_HEADER, TRACE_PARENT_ENV};
 pub use spec::{
     derive_trace_id, BuiltProblem, EstimatorSpec, JobFile, JobResult, JobSpec, JobTimings,

@@ -29,6 +29,7 @@ use juliqaoa_service::{
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the SIGTERM handler; polled by the serve accept loop.
@@ -76,13 +77,18 @@ const USAGE: &str = "usage:
                      [--max-body-bytes N] [--trace-out trace.jsonl] [--trace-ring-cap N]
   qaoa-service example-jobs <path> [--count N] [--n QUBITS]";
 
-/// Pulls the value after a `--flag`, parsing it with `parse`.
-fn flag_value<T>(
+/// Pulls the value after the flag at `args[*i]`, parsed with [`FromStr`].
+fn flag_value<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    flag_with(args, i, |s| s.parse().ok())
+}
+
+/// [`flag_value`] with a custom `parse`.
+fn flag_with<T>(
     args: &[String],
     i: &mut usize,
-    flag: &str,
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<T, String> {
+    let flag = &args[*i];
     *i += 1;
     let raw = args
         .get(*i)
@@ -130,24 +136,13 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" => out_path = flag_value(args, &mut i, "--out", |s| Some(PathBuf::from(s)))?,
+            "--out" => out_path = flag_value(args, &mut i)?,
             "--no-resume" => opts.resume = false,
-            "--cache" => cache = flag_value(args, &mut i, "--cache", |s| s.parse().ok())?,
-            "--retries" => {
-                opts.retry =
-                    RetryPolicy::with_retries(flag_value(args, &mut i, "--retries", |s| {
-                        s.parse().ok()
-                    })?)
-            }
-            "--fsync" => opts.fsync = flag_value(args, &mut i, "--fsync", parse_fsync)?,
-            "--trace-out" => {
-                opts.trace_path = Some(flag_value(args, &mut i, "--trace-out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--shard-workers" => {
-                shard_workers = flag_value(args, &mut i, "--shard-workers", |s| s.parse().ok())?
-            }
+            "--cache" => cache = flag_value(args, &mut i)?,
+            "--retries" => opts.retry = RetryPolicy::with_retries(flag_value(args, &mut i)?),
+            "--fsync" => opts.fsync = flag_with(args, &mut i, parse_fsync)?,
+            "--trace-out" => opts.trace_path = Some(flag_value(args, &mut i)?),
+            "--shard-workers" => shard_workers = flag_value(args, &mut i)?,
             other if jobs_path.is_none() && !other.starts_with("--") => {
                 jobs_path = Some(PathBuf::from(other));
             }
@@ -216,67 +211,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => config.addr = flag_value(args, &mut i, "--addr", |s| Some(s.to_string()))?,
-            "--workers" => {
-                config.workers = flag_value(args, &mut i, "--workers", |s| s.parse().ok())?
-            }
-            "--queue" => {
-                config.queue_capacity = flag_value(args, &mut i, "--queue", |s| s.parse().ok())?
-            }
-            "--cache" => {
-                config.cache_capacity = flag_value(args, &mut i, "--cache", |s| s.parse().ok())?
-            }
-            "--out" => {
-                config.results_path = Some(flag_value(args, &mut i, "--out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--trace-out" => {
-                config.trace_path = Some(flag_value(args, &mut i, "--trace-out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--trace-ring-cap" => {
-                config.trace_ring_cap =
-                    flag_value(args, &mut i, "--trace-ring-cap", |s| s.parse().ok())?
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms =
-                    flag_value(args, &mut i, "--read-timeout-ms", |s| s.parse().ok())?
-            }
-            "--write-timeout-ms" => {
-                config.write_timeout_ms =
-                    flag_value(args, &mut i, "--write-timeout-ms", |s| s.parse().ok())?
-            }
-            "--default-timeout-ms" => {
-                config.default_timeout_ms =
-                    Some(flag_value(args, &mut i, "--default-timeout-ms", |s| {
-                        s.parse().ok()
-                    })?)
-            }
-            "--max-timeout-ms" => {
-                config.max_timeout_ms = Some(flag_value(args, &mut i, "--max-timeout-ms", |s| {
-                    s.parse().ok()
-                })?)
-            }
-            "--queue-wait-ms" => {
-                config.queue_wait_ms = Some(flag_value(args, &mut i, "--queue-wait-ms", |s| {
-                    s.parse().ok()
-                })?)
-            }
-            "--drain-ms" => {
-                config.drain_ms = flag_value(args, &mut i, "--drain-ms", |s| s.parse().ok())?
-            }
-            "--retries" => {
-                config.retry = RetryPolicy::with_retries(flag_value(args, &mut i, "--retries", {
-                    |s| s.parse().ok()
-                })?)
-            }
-            "--fsync" => config.fsync = flag_value(args, &mut i, "--fsync", parse_fsync)?,
-            "--max-body-bytes" => {
-                config.max_body_bytes =
-                    flag_value(args, &mut i, "--max-body-bytes", |s| s.parse().ok())?
-            }
+            "--addr" => config.addr = flag_value(args, &mut i)?,
+            "--workers" => config.workers = flag_value(args, &mut i)?,
+            "--queue" => config.queue_capacity = flag_value(args, &mut i)?,
+            "--cache" => config.cache_capacity = flag_value(args, &mut i)?,
+            "--out" => config.results_path = Some(flag_value(args, &mut i)?),
+            "--trace-out" => config.trace_path = Some(flag_value(args, &mut i)?),
+            "--trace-ring-cap" => config.trace_ring_cap = flag_value(args, &mut i)?,
+            "--read-timeout-ms" => config.read_timeout_ms = flag_value(args, &mut i)?,
+            "--write-timeout-ms" => config.write_timeout_ms = flag_value(args, &mut i)?,
+            "--default-timeout-ms" => config.default_timeout_ms = Some(flag_value(args, &mut i)?),
+            "--max-timeout-ms" => config.max_timeout_ms = Some(flag_value(args, &mut i)?),
+            "--queue-wait-ms" => config.queue_wait_ms = Some(flag_value(args, &mut i)?),
+            "--drain-ms" => config.drain_ms = flag_value(args, &mut i)?,
+            "--retries" => config.retry = RetryPolicy::with_retries(flag_value(args, &mut i)?),
+            "--fsync" => config.fsync = flag_with(args, &mut i, parse_fsync)?,
+            "--max-body-bytes" => config.max_body_bytes = flag_value(args, &mut i)?,
             other => return Err(format!("unexpected argument {other:?}")),
         }
         i += 1;
@@ -284,9 +234,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     install_stop_signal();
     let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "qaoa-service listening on http://{addr} (POST /jobs, GET /metrics, GET /stats, GET /trace, POST /shutdown)"
-    );
+    eprintln!("qaoa-service listening on http://{addr}");
     server.run_until(&STOP_REQUESTED).map_err(|e| e.to_string())
 }
 
@@ -295,9 +243,9 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => config.addr = flag_value(args, &mut i, "--addr", |s| Some(s.to_string()))?,
+            "--addr" => config.addr = flag_value(args, &mut i)?,
             "--backends" => {
-                config.cluster.backends = flag_value(args, &mut i, "--backends", |s| {
+                config.cluster.backends = flag_with(args, &mut i, |s| {
                     let list: Vec<String> = s
                         .split(',')
                         .map(str::trim)
@@ -307,46 +255,17 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
                     (!list.is_empty()).then_some(list)
                 })?
             }
-            "--probe-interval-ms" => {
-                config.cluster.probe_interval_ms =
-                    flag_value(args, &mut i, "--probe-interval-ms", |s| s.parse().ok())?
-            }
-            "--probe-timeout-ms" => {
-                config.cluster.probe_timeout_ms =
-                    flag_value(args, &mut i, "--probe-timeout-ms", |s| s.parse().ok())?
-            }
-            "--trip-after" => {
-                config.cluster.trip_after =
-                    flag_value(args, &mut i, "--trip-after", |s| s.parse().ok())?
-            }
-            "--backend-timeout-ms" => {
-                config.backend_timeout_ms =
-                    flag_value(args, &mut i, "--backend-timeout-ms", |s| s.parse().ok())?
-            }
-            "--hedge-after-ms" => {
-                config.hedge_after_ms = Some(flag_value(args, &mut i, "--hedge-after-ms", |s| {
-                    s.parse().ok()
-                })?)
-            }
+            "--probe-interval-ms" => config.cluster.probe_interval_ms = flag_value(args, &mut i)?,
+            "--probe-timeout-ms" => config.cluster.probe_timeout_ms = flag_value(args, &mut i)?,
+            "--trip-after" => config.cluster.trip_after = flag_value(args, &mut i)?,
+            "--backend-timeout-ms" => config.backend_timeout_ms = flag_value(args, &mut i)?,
+            "--hedge-after-ms" => config.hedge_after_ms = Some(flag_value(args, &mut i)?),
             "--retries" => {
-                config.cluster.retry =
-                    RetryPolicy::with_retries(flag_value(args, &mut i, "--retries", {
-                        |s| s.parse().ok()
-                    })?)
+                config.cluster.retry = RetryPolicy::with_retries(flag_value(args, &mut i)?)
             }
-            "--max-body-bytes" => {
-                config.max_body_bytes =
-                    flag_value(args, &mut i, "--max-body-bytes", |s| s.parse().ok())?
-            }
-            "--trace-out" => {
-                config.trace_path = Some(flag_value(args, &mut i, "--trace-out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--trace-ring-cap" => {
-                config.trace_ring_cap =
-                    flag_value(args, &mut i, "--trace-ring-cap", |s| s.parse().ok())?
-            }
+            "--max-body-bytes" => config.max_body_bytes = flag_value(args, &mut i)?,
+            "--trace-out" => config.trace_path = Some(flag_value(args, &mut i)?),
+            "--trace-ring-cap" => config.trace_ring_cap = flag_value(args, &mut i)?,
             other => return Err(format!("unexpected argument {other:?}")),
         }
         i += 1;
@@ -357,7 +276,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     install_stop_signal();
     let router = Router::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = router.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("qaoa-service routing on http://{addr} (POST /jobs, GET /metrics, GET /stats, GET /trace, POST /shutdown)");
+    eprintln!("qaoa-service routing on http://{addr}");
     router.run_until(&STOP_REQUESTED).map_err(|e| e.to_string())
 }
 
@@ -370,8 +289,8 @@ fn cmd_example_jobs(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--count" => count = flag_value(args, &mut i, "--count", |s| s.parse().ok())?,
-            "--n" => n = flag_value(args, &mut i, "--n", |s| s.parse().ok())?,
+            "--count" => count = flag_value(args, &mut i)?,
+            "--n" => n = flag_value(args, &mut i)?,
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(PathBuf::from(other));
             }

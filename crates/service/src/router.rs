@@ -31,21 +31,23 @@
 //! counters and route-latency histograms on `GET /metrics`, and
 //! `backend_up`/`backend_down`/`backend_tripped`/`failover`/`hedge` events in
 //! the same bounded trace ring serve mode uses (`GET /trace`, `--trace-out`).
+//!
+//! The accept loop and the ops endpoints come from [`crate::ops`]; this tier
+//! adds `/jobs*`, `/metrics` and `/stats`, answers `/readyz` with 200 while at
+//! least one backend is live, and merges the live backends' spans into
+//! `GET /trace/:id`.
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{Backend, Cluster, ClusterConfig};
 use crate::http::{
-    client_request, client_request_with_headers, read_request_limited, write_body, write_error,
-    write_json, ClientResponse, Request, DEFAULT_MAX_BODY_BYTES,
+    client_request, client_request_with_headers, write_body, write_error, write_json,
+    write_json_or_500, ClientResponse, Request, DEFAULT_MAX_BODY_BYTES,
 };
-use crate::server::{TraceBody, TraceEvent};
-use crate::spans::{default_trace_cap, span_from_value, trace_body, version_value, TRACE_HEADER};
+use crate::ops::{Ops, Tier};
+use crate::spans::{default_trace_cap, span_from_value, TRACE_HEADER};
 use crate::spec::{derive_trace_id, JobSpec};
-use juliqaoa_telemetry::{
-    encode, Counter, Histogram, PromWriter, Span, SpanCollector, TraceId, TraceRing,
-};
+use juliqaoa_telemetry::{encode, Counter, Histogram, PromWriter, Span, TraceId};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,10 +66,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// Ring membership, probing and failover pacing.
     pub cluster: ClusterConfig,
-    /// Per-connection socket read timeout in milliseconds (client side).
-    pub read_timeout_ms: u64,
-    /// Per-connection socket write timeout in milliseconds (client side).
-    pub write_timeout_ms: u64,
     /// Timeout for one proxied request to a backend, in milliseconds.
     pub backend_timeout_ms: u64,
     /// Hedge threshold for idempotent reads: after this many milliseconds
@@ -88,8 +86,6 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:7979".into(),
             cluster: ClusterConfig::default(),
-            read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
             backend_timeout_ms: 10_000,
             hedge_after_ms: None,
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
@@ -155,42 +151,17 @@ struct RouterState {
     failovers: Counter,
     hedged_reads: Counter,
     hedge_wins: Counter,
-    stop_requested: AtomicBool,
-    started: Instant,
     submit_ms: Histogram,
     read_ms: Histogram,
-    trace: TraceRing<TraceEvent>,
-    trace_seq: AtomicU64,
-    trace_out: Option<Arc<Mutex<std::io::BufWriter<std::fs::File>>>>,
-    /// Routing-side spans (`route_submit`, `failover`, `hedge`, `probe`) for
-    /// `GET /trace/:id`; mirrored to `trace_out`.
-    spans: Arc<SpanCollector>,
+    /// Trace ring, routing-side spans (`route_submit`, `failover`, `hedge`,
+    /// `probe`) and the shutdown flag.
+    ops: Ops,
     /// Last `(trace hex, latency)` per route histogram — `/metrics` exemplars.
     last_submit_exemplar: Mutex<Option<(String, f64)>>,
     last_read_exemplar: Mutex<Option<(String, f64)>>,
 }
 
 impl RouterState {
-    /// Records a lifecycle event into the trace ring (and `--trace-out`).
-    fn trace_event(&self, event: &str, job: &str, detail: impl Into<String>) {
-        let entry = TraceEvent {
-            // relaxed: sequence allocator; fetch_add is atomic regardless of ordering.
-            seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            ts_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            event: event.to_string(),
-            job: job.to_string(),
-            detail: detail.into(),
-        };
-        if let Some(out) = &self.trace_out {
-            if let Ok(line) = serde_json::to_string(&entry) {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
-        }
-        self.trace.push(entry);
-    }
-
     fn backend_timeout(&self) -> Duration {
         Duration::from_millis(self.config.backend_timeout_ms.max(1))
     }
@@ -198,7 +169,7 @@ impl RouterState {
     /// Applies a health transition returned by the cluster to the trace ring.
     fn trace_transition(&self, transition: Option<(&'static str, String)>) {
         if let Some((event, detail)) = transition {
-            self.trace_event(event, "", detail);
+            self.ops.trace_event(event, "", detail);
         }
     }
 }
@@ -218,24 +189,7 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        let trace_out = match &config.trace_path {
-            Some(path) => Some(Arc::new(Mutex::new(std::io::BufWriter::new(
-                std::fs::File::create(path)?,
-            )))),
-            None => None,
-        };
-        let spans = Arc::new(SpanCollector::new(
-            config.trace_ring_cap.max(1),
-            crate::spans::collector_salt(),
-        ));
-        if let Some(out) = &trace_out {
-            let out = out.clone();
-            spans.set_sink(Box::new(move |span: &Span| {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{}", span.to_json_line());
-                let _ = w.flush();
-            }));
-        }
+        let ops = Ops::new(config.trace_path.as_deref(), config.trace_ring_cap)?;
         let state = Arc::new(RouterState {
             cluster: Cluster::new(config.cluster.clone()),
             jobs: Mutex::new(HashMap::new()),
@@ -244,14 +198,9 @@ impl Router {
             failovers: Counter::new(),
             hedged_reads: Counter::new(),
             hedge_wins: Counter::new(),
-            stop_requested: AtomicBool::new(false),
-            started: Instant::now(),
             submit_ms: Histogram::latency_ms(),
             read_ms: Histogram::latency_ms(),
-            trace: TraceRing::new(config.trace_ring_cap.max(1)),
-            trace_seq: AtomicU64::new(0),
-            trace_out,
-            spans,
+            ops,
             last_submit_exemplar: Mutex::new(None),
             last_read_exemplar: Mutex::new(None),
             config,
@@ -260,7 +209,7 @@ impl Router {
         // Up, and a chaos run's journal should show what the ring looked like
         // before the first probe ever fired.
         for backend in state.cluster.backends() {
-            state.trace_event(
+            state.ops.trace_event(
                 "backend_up",
                 "",
                 format!("{} joined the ring", backend.addr),
@@ -281,7 +230,6 @@ impl Router {
 
     /// [`Router::run`], but also stops when `stop` becomes true (SIGTERM hook).
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let prober_stop = Arc::new(AtomicBool::new(false));
         let prober = {
             let state = self.state.clone();
@@ -290,30 +238,10 @@ impl Router {
                 .name("qaoa-router-prober".into())
                 .spawn(move || prober_loop(&state, &stop))?
         };
-        loop {
-            if stop.load(Ordering::SeqCst) || self.state.stop_requested.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-                        self.state.config.read_timeout_ms.max(1),
-                    )));
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                        self.state.config.write_timeout_ms.max(1),
-                    )));
-                    handle_connection(&self.state, &mut stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {}
-            }
-        }
+        let served = crate::ops::serve(&self.listener, &*self.state, stop);
         prober_stop.store(true, Ordering::SeqCst);
         let _ = prober.join();
-        Ok(())
+        served
     }
 }
 
@@ -334,41 +262,30 @@ fn prober_loop(state: &RouterState, stop: &AtomicBool) {
             let backend = state.cluster.backend(index);
             backend.probes.inc();
             let probe_started = Instant::now();
-            let outcome = client_request(&backend.addr, "GET", "/readyz", None, timeout);
-            let probe_ok = matches!(&outcome, Ok(resp) if resp.status == 200);
+            let failure = match client_request(&backend.addr, "GET", "/readyz", None, timeout) {
+                Ok(resp) if resp.status == 200 => None,
+                Ok(resp) => Some(format!("readyz returned {}", resp.status)),
+                Err(e) => Some(format!("probe failed: {e}")),
+            };
             // Probe spans live under the fixed ops trace, not a job trace —
             // `GET /trace/<OPS_TRACE>` is the probe history.
-            state.spans.record_closed(
+            state.ops.spans.record_closed(
                 OPS_TRACE,
                 None,
                 "probe",
                 probe_started.elapsed().as_secs_f64() * 1e3,
                 vec![
                     ("backend".to_string(), backend.addr.clone()),
-                    ("ok".to_string(), probe_ok.to_string()),
+                    ("ok".to_string(), failure.is_none().to_string()),
                 ],
             );
-            match outcome {
-                Ok(resp) if resp.status == 200 => {
-                    state.trace_transition(state.cluster.record_success(index));
-                }
-                Ok(resp) => {
+            state.trace_transition(match failure {
+                None => state.cluster.record_success(index),
+                Some(why) => {
                     backend.probe_failures.inc();
-                    state.trace_transition(
-                        state
-                            .cluster
-                            .record_failure(index, &format!("readyz returned {}", resp.status)),
-                    );
+                    state.cluster.record_failure(index, &why)
                 }
-                Err(e) => {
-                    backend.probe_failures.inc();
-                    state.trace_transition(
-                        state
-                            .cluster
-                            .record_failure(index, &format!("probe failed: {e}")),
-                    );
-                }
-            }
+            });
         }
         // Sleep in small steps so shutdown is prompt even with long intervals.
         let mut slept = Duration::ZERO;
@@ -380,79 +297,98 @@ fn prober_loop(state: &RouterState, stop: &AtomicBool) {
     }
 }
 
-fn handle_connection(state: &Arc<RouterState>, stream: &mut TcpStream) {
-    let request = match read_request_limited(stream, state.config.max_body_bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            write_error(stream, e.status, &e.message);
-            return;
-        }
-    };
-    route(state, stream, &request);
-}
+impl Tier for RouterState {
+    const TRACE_SCOPE: &'static str = " on the router or any backend";
 
-fn route(state: &Arc<RouterState>, stream: &mut TcpStream, request: &Request) {
-    let path = request.path.trim_end_matches('/');
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => handle_submit(state, stream, request),
-        ("GET", "/metrics") => handle_prometheus(state, stream),
-        ("GET", "/stats") => handle_stats(state, stream),
-        ("GET", "/trace") => handle_trace(state, stream),
-        ("GET", "/version") => handle_version(stream),
-        ("GET", "/healthz") => write_json(stream, 200, "{\"status\": \"ok\"}"),
-        ("GET", "/readyz") => {
-            // The router is ready exactly when it can place a job somewhere.
-            if state.cluster.live_count() > 0 {
-                write_json(stream, 200, "{\"status\": \"ready\"}")
-            } else {
-                write_error(stream, 503, "no live backend")
-            }
-        }
-        ("POST", "/shutdown") => {
-            state.stop_requested.store(true, Ordering::SeqCst);
-            write_json(stream, 200, "{\"status\": \"shutting down\"}");
-        }
-        (method, path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
+    fn ops(&self) -> &Ops {
+        &self.ops
+    }
+
+    fn max_body_bytes(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
+    fn route(&self, stream: &mut TcpStream, request: &Request, path: &str) -> bool {
+        match (request.method.as_str(), path) {
+            ("POST", "/jobs") => handle_submit(self, stream, request),
+            ("GET", "/metrics") => handle_prometheus(self, stream),
+            ("GET", "/stats") => handle_stats(self, stream),
+            (method, path) => {
+                let Some(rest) = path.strip_prefix("/jobs/") else {
+                    return false;
+                };
                 match (
                     method,
                     rest.strip_suffix("/result"),
                     rest.strip_suffix("/cancel"),
                 ) {
                     ("GET", Some(id), _) => {
-                        handle_proxied_read(state, stream, id, &format!("/jobs/{id}/result"))
+                        handle_proxied_read(self, stream, id, &format!("/jobs/{id}/result"))
                     }
-                    ("POST", _, Some(id)) => handle_cancel(state, stream, id),
+                    ("POST", _, Some(id)) => handle_cancel(self, stream, id),
                     ("GET", None, None) => {
-                        handle_proxied_read(state, stream, rest, &format!("/jobs/{rest}"))
+                        handle_proxied_read(self, stream, rest, &format!("/jobs/{rest}"))
                     }
-                    _ => write_error(stream, 405, "method not allowed"),
+                    _ => return false,
                 }
-            } else if let Some(trace_hex) = path.strip_prefix("/trace/") {
-                match method {
-                    "GET" => handle_trace_id(state, stream, trace_hex),
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else {
-                write_error(stream, 404, "no such endpoint");
             }
         }
+        true
+    }
+
+    fn readiness(&self) -> Result<(), &'static str> {
+        // The router is ready exactly when it can place a job somewhere.
+        if self.cluster.live_count() > 0 {
+            Ok(())
+        } else {
+            Err("no live backend")
+        }
+    }
+
+    /// Every live backend's spans for the trace — one tree across processes.
+    /// An unreachable backend degrades the tree (its spans are simply absent)
+    /// rather than failing the request.  Open circuits are skipped, as
+    /// placement and hedging skip them: the accept loop is single-threaded,
+    /// so a blackholed backend would otherwise stall every client for
+    /// `backend_timeout_ms`.
+    fn remote_spans(&self, trace: TraceId) -> Vec<Span> {
+        let path = format!("/trace/{}", trace.to_hex());
+        let mut spans = Vec::new();
+        for backend in self.cluster.backends().iter().filter(|b| b.is_live()) {
+            let Ok(resp) =
+                client_request(&backend.addr, "GET", &path, None, self.backend_timeout())
+            else {
+                continue;
+            };
+            if !resp.is_success() {
+                continue;
+            }
+            let Ok(body) = serde_json::from_str::<Value>(&resp.body) else {
+                continue;
+            };
+            if let Some(remote) = body.get_field("spans").and_then(Value::as_array) {
+                spans.extend(remote.iter().filter_map(span_from_value));
+            }
+        }
+        spans
     }
 }
 
-/// Submits a spec to its ring placement, walking the deterministic failover
-/// order on backend errors.  Returns the winning backend index and response.
-fn submit_with_failover(
+/// POSTs a spec to the first of `candidates` that takes it, in order.  Returns
+/// the winning backend, its response and the number of failed attempts before
+/// it; `Err` carries the last failure, or `none_tried` when no candidate was
+/// tried.  `accepts` decides which responses count as taken.
+fn post_spec(
     state: &RouterState,
     job_id: &str,
-    key: u64,
+    candidates: &[usize],
     trace: TraceId,
     body: &str,
-) -> Result<(usize, ClientResponse), String> {
-    let started = Instant::now();
-    let candidates = state.cluster.candidates(key);
+    accepts: fn(&ClientResponse) -> bool,
+    none_tried: &str,
+) -> Result<(usize, ClientResponse, u32), String> {
     let mut attempt = 0u32;
-    let mut last_error = String::from("no backends configured");
+    let mut last_error = none_tried.to_string();
     for (position, &index) in candidates.iter().enumerate() {
         let backend = state.cluster.backend(index);
         // Skip open circuits, but never skip the last candidate: with every
@@ -468,7 +404,7 @@ fn submit_with_failover(
         }
         // Propagate the trace id so the backend adopts it instead of
         // re-deriving — the routed edge and the executing edge share one trace.
-        match client_request_with_headers(
+        last_error = match client_request_with_headers(
             &backend.addr,
             "POST",
             "/jobs",
@@ -476,77 +412,75 @@ fn submit_with_failover(
             Some(body),
             state.backend_timeout(),
         ) {
-            // 2xx accepted; 409 means this backend already holds the job (a
-            // retransmit after a half-failed earlier attempt) — also success.
-            Ok(resp) if resp.status < 500 => {
+            Ok(resp) if accepts(&resp) => {
                 state.trace_transition(state.cluster.record_success(index));
-                if attempt > 0 {
-                    state.failovers.inc();
-                    state.trace_event(
-                        "failover",
-                        job_id,
-                        format!(
-                            "submitted to {} after {attempt} failed attempt(s)",
-                            backend.addr
-                        ),
-                    );
-                }
-                state.spans.record_closed(
-                    trace,
-                    Some(trace.root_span()),
-                    "route_submit",
-                    started.elapsed().as_secs_f64() * 1e3,
-                    vec![
-                        ("job".to_string(), job_id.to_string()),
-                        ("backend".to_string(), backend.addr.clone()),
-                        ("attempts".to_string(), (attempt + 1).to_string()),
-                    ],
-                );
-                return Ok((index, resp));
+                return Ok((index, resp, attempt));
             }
-            Ok(resp) => {
-                last_error = format!("{} returned {}", backend.addr, resp.status);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-            Err(e) => {
-                last_error = format!("{}: {e}", backend.addr);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-        }
+            Ok(resp) => format!("{} returned {}", backend.addr, resp.status),
+            Err(e) => format!("{}: {e}", backend.addr),
+        };
+        state.trace_transition(state.cluster.record_failure(index, &last_error));
+        attempt += 1;
     }
     Err(last_error)
 }
 
-fn handle_submit(state: &Arc<RouterState>, stream: &mut TcpStream, request: &Request) {
+/// Submits a spec to its ring placement, walking the deterministic failover
+/// order on backend errors.  Returns the winning backend index and response.
+fn submit_with_failover(
+    state: &RouterState,
+    job_id: &str,
+    key: u64,
+    trace: TraceId,
+    body: &str,
+) -> Result<(usize, ClientResponse), String> {
     let started = Instant::now();
-    let body = String::from_utf8_lossy(&request.body);
-    let mut spec: JobSpec = match serde_json::from_str(&body) {
+    let candidates = state.cluster.candidates(key);
+    // Any non-5xx is the backend's answer to relay: 2xx accepted, 409 means it
+    // already holds the job (a retransmit after a half-failed earlier attempt).
+    let (index, resp, failed) = post_spec(
+        state,
+        job_id,
+        &candidates,
+        trace,
+        body,
+        |resp| resp.status < 500,
+        "no backends configured",
+    )?;
+    let addr = &state.cluster.backend(index).addr;
+    if failed > 0 {
+        state.failovers.inc();
+        state.ops.trace_event(
+            "failover",
+            job_id,
+            format!("submitted to {addr} after {failed} failed attempt(s)"),
+        );
+    }
+    state.ops.spans.record_closed(
+        trace,
+        Some(trace.root_span()),
+        "route_submit",
+        started.elapsed().as_secs_f64() * 1e3,
+        vec![
+            ("job".to_string(), job_id.to_string()),
+            ("backend".to_string(), addr.clone()),
+            ("attempts".to_string(), (failed + 1).to_string()),
+        ],
+    );
+    Ok((index, resp))
+}
+
+fn handle_submit(state: &RouterState, stream: &mut TcpStream, request: &Request) {
+    let started = Instant::now();
+    // The same cheap checks serve mode runs at submission: reject bad specs
+    // at the router without spending a backend round-trip on them.
+    let spec = match JobSpec::from_submission(&request.body, &state.auto_id) {
         Ok(spec) => spec,
         Err(e) => {
-            write_error(stream, 400, &format!("invalid job spec: {e}"));
+            write_error(stream, 400, &e);
             return;
         }
     };
-    if spec.id.is_empty() {
-        // relaxed: id allocator; uniqueness needs atomicity, not ordering.
-        spec.id = format!("job-{}", state.auto_id.fetch_add(1, Ordering::Relaxed));
-    }
-    // The same cheap shape checks serve mode runs at submission: reject bad
-    // specs at the router without spending a backend round-trip on them.
-    if let Err(e) = spec
-        .problem
-        .shape()
-        .and_then(|(_, subspace_k)| spec.mixer.check_compatible(subspace_k))
-        .and_then(|()| match &spec.sampling {
-            Some(sampling) => sampling.validate(),
-            None => Ok(()),
-        })
-    {
-        write_error(stream, 400, &format!("invalid job spec: {e}"));
-        return;
-    }
     if state
         .jobs
         .lock()
@@ -627,66 +561,41 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
     let candidates = state.cluster.candidates(job.key);
     let dead = job.backend;
     let start = candidates.iter().position(|&b| b == dead).unwrap_or(0);
-    let mut attempt = 0u32;
-    let mut last_error = String::from("no other backend");
-    for offset in 1..candidates.len().max(1) {
-        let index = candidates[(start + offset) % candidates.len()];
-        let backend = state.cluster.backend(index);
-        if !backend.is_live() && offset + 1 < candidates.len() {
-            continue;
-        }
-        if attempt > 0 {
-            std::thread::sleep(state.cluster.config().retry.delay(id, attempt - 1));
-        }
-        match client_request_with_headers(
-            &backend.addr,
-            "POST",
-            "/jobs",
-            &[(TRACE_HEADER, job.trace.to_hex())],
-            Some(&job.spec_body),
-            state.backend_timeout(),
-        ) {
-            Ok(resp) if resp.is_success() || resp.status == 409 => {
-                state.trace_transition(state.cluster.record_success(index));
-                if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
-                    entry.backend = index;
-                }
-                state.failovers.inc();
-                state.trace_event(
-                    "failover",
-                    id,
-                    format!(
-                        "re-routed from {} to {}",
-                        state.cluster.backend(dead).addr,
-                        backend.addr
-                    ),
-                );
-                state.spans.record_closed(
-                    job.trace,
-                    Some(job.trace.root_span()),
-                    "failover",
-                    started.elapsed().as_secs_f64() * 1e3,
-                    vec![
-                        ("job".to_string(), id.to_string()),
-                        ("from".to_string(), state.cluster.backend(dead).addr.clone()),
-                        ("backend".to_string(), backend.addr.clone()),
-                    ],
-                );
-                return Ok(index);
-            }
-            Ok(resp) => {
-                last_error = format!("{} returned {}", backend.addr, resp.status);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-            Err(e) => {
-                last_error = format!("{}: {e}", backend.addr);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-        }
+    let successors: Vec<usize> = (1..candidates.len())
+        .map(|offset| candidates[(start + offset) % candidates.len()])
+        .collect();
+    let (index, _, _) = post_spec(
+        state,
+        id,
+        &successors,
+        job.trace,
+        &job.spec_body,
+        |resp| resp.is_success() || resp.status == 409,
+        "no other backend",
+    )?;
+    if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
+        entry.backend = index;
     }
-    Err(last_error)
+    let (from, to) = (
+        &state.cluster.backend(dead).addr,
+        &state.cluster.backend(index).addr,
+    );
+    state.failovers.inc();
+    state
+        .ops
+        .trace_event("failover", id, format!("re-routed from {from} to {to}"));
+    state.ops.spans.record_closed(
+        job.trace,
+        Some(job.trace.root_span()),
+        "failover",
+        started.elapsed().as_secs_f64() * 1e3,
+        vec![
+            ("job".to_string(), id.to_string()),
+            ("from".to_string(), from.clone()),
+            ("backend".to_string(), to.clone()),
+        ],
+    );
+    Ok(index)
 }
 
 /// Issues an idempotent GET against a job's owner, hedging to the ring
@@ -695,7 +604,7 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
 /// (status < 400), so a successor's 404 can never mask a slow-but-correct
 /// owner.
 fn hedged_get(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     owner: usize,
     trace: TraceId,
     path: &str,
@@ -737,14 +646,14 @@ fn hedged_get(
 
     state.hedged_reads.inc();
     let successor_addr = state.cluster.backend(successor).addr.clone();
-    state.trace_event(
+    state.ops.trace_event(
         "hedge",
         "",
         format!("owner slow on {path}; duplicating to {successor_addr}"),
     );
     // The hedge span records *that* the threshold fired and where the
     // duplicate went; its duration is the wait that triggered it.
-    state.spans.record_closed(
+    state.ops.spans.record_closed(
         trace,
         Some(trace.root_span()),
         "hedge",
@@ -785,17 +694,17 @@ fn hedged_get(
     owner_outcome.unwrap_or_else(|| Err(std::io::Error::other("no response from owner or hedge")))
 }
 
-fn handle_proxied_read(state: &Arc<RouterState>, stream: &mut TcpStream, id: &str, path: &str) {
+/// The current owner and the trace id of a routed job.
+fn owner_of(state: &RouterState, id: &str) -> Option<(usize, TraceId)> {
+    let jobs = state.jobs.lock().expect("router jobs lock");
+    jobs.get(id).map(|job| (job.backend, job.trace))
+}
+
+fn handle_proxied_read(state: &RouterState, stream: &mut TcpStream, id: &str, path: &str) {
     let started = Instant::now();
-    let (owner, trace) = {
-        let jobs = state.jobs.lock().expect("router jobs lock");
-        match jobs.get(id) {
-            Some(job) => (job.backend, job.trace),
-            None => {
-                write_error(stream, 404, &format!("unknown job {id:?}"));
-                return;
-            }
-        }
+    let Some((owner, trace)) = owner_of(state, id) else {
+        write_error(stream, 404, &format!("unknown job {id:?}"));
+        return;
     };
     match hedged_get(state, owner, trace, path) {
         Ok(resp) => {
@@ -843,16 +752,10 @@ fn handle_proxied_read(state: &Arc<RouterState>, stream: &mut TcpStream, id: &st
     }
 }
 
-fn handle_cancel(state: &Arc<RouterState>, stream: &mut TcpStream, id: &str) {
-    let owner = {
-        let jobs = state.jobs.lock().expect("router jobs lock");
-        match jobs.get(id) {
-            Some(job) => job.backend,
-            None => {
-                write_error(stream, 404, &format!("unknown job {id:?}"));
-                return;
-            }
-        }
+fn handle_cancel(state: &RouterState, stream: &mut TcpStream, id: &str) {
+    let Some((owner, _)) = owner_of(state, id) else {
+        write_error(stream, 404, &format!("unknown job {id:?}"));
+        return;
     };
     let addr = state.cluster.backend(owner).addr.clone();
     match client_request(
@@ -867,16 +770,12 @@ fn handle_cancel(state: &Arc<RouterState>, stream: &mut TcpStream, id: &str) {
     }
 }
 
-fn backend_label(addr: &str) -> String {
-    format!("backend=\"{addr}\"")
-}
-
-fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
+fn handle_prometheus(state: &RouterState, stream: &mut TcpStream) {
     let mut w = PromWriter::new();
     w.gauge_f64(
         "router_uptime_seconds",
         "Seconds since the router started.",
-        state.started.elapsed().as_secs_f64(),
+        state.ops.uptime_s(),
     );
     w.gauge(
         "cluster_backends",
@@ -909,62 +808,39 @@ fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
         state.hedge_wins.get(),
     );
 
-    let backends = state.cluster.backends();
-    let up: Vec<(String, u64)> = backends
-        .iter()
-        .map(|b| (backend_label(&b.addr), u64::from(b.is_live())))
-        .collect();
+    // One `{backend="host:port"}` sample per backend.
+    let per_backend = |value: fn(&Backend) -> u64| -> Vec<(String, u64)> {
+        let backends = state.cluster.backends().iter();
+        backends
+            .map(|b| (format!("backend=\"{}\"", b.addr), value(b)))
+            .collect()
+    };
     w.gauge_family(
         "cluster_backend_up",
         "Whether each backend's circuit is closed (1) or open (0).",
-        &up,
+        &per_backend(|b| u64::from(b.is_live())),
     );
-    let failures: Vec<(String, u64)> = backends
-        .iter()
-        .map(|b| (backend_label(&b.addr), b.consecutive_failures() as u64))
-        .collect();
     w.gauge_family(
         "cluster_backend_consecutive_failures",
         "Consecutive failures recorded against each backend since its last success.",
-        &failures,
+        &per_backend(|b| b.consecutive_failures() as u64),
     );
-    let probes: Vec<(String, u64)> = backends
-        .iter()
-        .map(|b| (backend_label(&b.addr), b.probes.get()))
-        .collect();
     w.counter_family(
         "cluster_probes_total",
         "Health probes sent per backend.",
-        &probes,
+        &per_backend(|b| b.probes.get()),
     );
-    let probe_failures: Vec<(String, u64)> = backends
-        .iter()
-        .map(|b| (backend_label(&b.addr), b.probe_failures.get()))
-        .collect();
     w.counter_family(
         "cluster_probe_failures_total",
         "Failed health probes per backend.",
-        &probe_failures,
+        &per_backend(|b| b.probe_failures.get()),
     );
-    let trips: Vec<(String, u64)> = backends
-        .iter()
-        .map(|b| (backend_label(&b.addr), b.trips_total.get()))
-        .collect();
     w.counter_family(
         "cluster_backend_trips_total",
         "Circuit-breaker trips per backend.",
-        &trips,
+        &per_backend(|b| b.trips_total.get()),
     );
-    w.counter(
-        "trace_events_dropped",
-        "Lifecycle events evicted from the bounded trace ring.",
-        state.trace.dropped(),
-    );
-    w.counter(
-        "trace_spans_dropped",
-        "Completed spans evicted from the bounded span collector.",
-        state.spans.dropped(),
-    );
+    state.ops.write_dropped(&mut w);
     w.histogram(
         "route_submit_ms",
         "Milliseconds to place a submission on a backend (failover included).",
@@ -994,7 +870,7 @@ fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
     write_body(stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
 }
 
-fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
+fn handle_stats(state: &RouterState, stream: &mut TcpStream) {
     let backends = state
         .cluster
         .backends()
@@ -1007,7 +883,7 @@ fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
         })
         .collect();
     let body = RouterStatsBody {
-        uptime_s: state.started.elapsed().as_secs_f64(),
+        uptime_s: state.ops.uptime_s(),
         jobs_routed: state.jobs_routed.get(),
         failovers: state.failovers.get(),
         hedged_reads: state.hedged_reads.get(),
@@ -1015,72 +891,5 @@ fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
         backends_live: state.cluster.live_count() as u64,
         backends,
     };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-fn handle_trace(state: &Arc<RouterState>, stream: &mut TcpStream) {
-    let body = TraceBody {
-        dropped: state.trace.dropped(),
-        capacity: state.trace.capacity() as u64,
-        events: state.trace.snapshot(),
-    };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /trace/:id` at the router: the router's own routing-side spans merged
-/// with every backend's spans for the same trace — one tree across processes.
-/// An unreachable backend degrades the tree (its spans are simply absent)
-/// rather than failing the request.
-fn handle_trace_id(state: &Arc<RouterState>, stream: &mut TcpStream, raw: &str) {
-    let Some(trace) = TraceId::parse(raw) else {
-        write_error(
-            stream,
-            400,
-            &format!("invalid trace id {raw:?} (want 16 hex digits)"),
-        );
-        return;
-    };
-    let mut spans = state.spans.for_trace(trace);
-    let path = format!("/trace/{}", trace.to_hex());
-    for backend in state.cluster.backends() {
-        let Ok(resp) = client_request(&backend.addr, "GET", &path, None, state.backend_timeout())
-        else {
-            continue;
-        };
-        if !resp.is_success() {
-            continue;
-        }
-        let Ok(body) = serde_json::from_str::<Value>(&resp.body) else {
-            continue;
-        };
-        if let Some(remote) = body.get_field("spans").and_then(Value::as_array) {
-            spans.extend(remote.iter().filter_map(span_from_value));
-        }
-    }
-    if spans.is_empty() {
-        write_error(
-            stream,
-            404,
-            &format!("no spans retained for trace {raw:?} on the router or any backend"),
-        );
-        return;
-    }
-    match serde_json::to_string_pretty(&trace_body(trace, spans)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /version`: build identity, for correlating multi-process journals.
-fn handle_version(stream: &mut TcpStream) {
-    match serde_json::to_string_pretty(&version_value()) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    write_json_or_500(stream, 200, serde_json::to_string_pretty(&body));
 }

@@ -8,7 +8,7 @@
 //! job is recorded as `failed` with a structured error and the worker keeps serving,
 //! so the pool never silently shrinks.
 //!
-//! Endpoints:
+//! Serve-tier endpoints:
 //!
 //! | Method & path          | Behaviour                                              |
 //! |------------------------|--------------------------------------------------------|
@@ -19,13 +19,12 @@
 //! | `POST /jobs/:id/cancel`| Request cooperative cancellation                       |
 //! | `GET /metrics`         | Prometheus text exposition (counters + histograms)     |
 //! | `GET /stats`           | The same counters as JSON ([`MetricsBody`])            |
-//! | `GET /trace`           | Recent lifecycle events from the bounded trace ring    |
-//! | `GET /trace/:id`       | The retained spans of one trace, flat + as a tree      |
-//! | `GET /version`         | Build identity (crate version, profile, git describe)  |
-//! | `GET /healthz`         | Liveness probe (200 whenever the process can answer)   |
-//! | `GET /readyz`          | Readiness probe (`503` while draining or before the    |
-//! |                        | worker pool is up) — what a router's prober should use |
-//! | `POST /shutdown`       | Graceful stop (drains workers); used by CI             |
+//!
+//! The ops endpoints — `/healthz`, `/readyz`, `POST /shutdown`, `/trace`,
+//! `/trace/:id`, `/version` — and the accept loop live in [`crate::ops`], shared
+//! with the route tier.  Here `/readyz` is `503 draining` once shutdown begins,
+//! which is what a router's prober keys on, and `POST /shutdown` drains the
+//! workers before the process exits.
 //!
 //! Fault tolerance: per-job deadlines (`timeout_ms`, clamped by
 //! [`ServerConfig::max_timeout_ms`]) end jobs cooperatively with a partial
@@ -38,21 +37,19 @@
 
 use crate::engine::{Engine, EngineStats, ServiceError};
 use crate::http::{
-    read_request_limited, write_body, write_error, write_json, write_json_with_headers, Request,
+    write_body, write_error, write_json, write_json_or_500, write_json_with_headers, Request,
     DEFAULT_MAX_BODY_BYTES,
 };
 use crate::journal::{FsyncPolicy, Journal};
+use crate::ops::{Ops, Tier, IO_TIMEOUT_MS};
 use crate::retry::RetryPolicy;
-use crate::spans::{default_trace_cap, trace_body, version_value, TRACE_HEADER};
+use crate::spans::{default_trace_cap, TRACE_HEADER};
 use crate::spec::{JobResult, JobSpec, JobTimings};
 use juliqaoa_linalg::enter_outer_parallelism;
 use juliqaoa_optim::RunControl;
-use juliqaoa_telemetry::{
-    encode, kernels, Counter, Gauge, PromWriter, Span, SpanCollector, TraceId, TraceRing,
-};
+use juliqaoa_telemetry::{encode, kernels, Counter, Gauge, PromWriter, Span, TraceId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -116,8 +113,8 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
             results_path: None,
-            read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
+            read_timeout_ms: IO_TIMEOUT_MS,
+            write_timeout_ms: IO_TIMEOUT_MS,
             default_timeout_ms: None,
             max_timeout_ms: None,
             queue_wait_ms: None,
@@ -129,36 +126,6 @@ impl Default for ServerConfig {
             trace_ring_cap: default_trace_cap(),
         }
     }
-}
-
-/// One entry in the lifecycle trace ring (`GET /trace` and `--trace-out`).
-///
-/// `ts_ms` is milliseconds since the server started — a monotonic offset, not
-/// wall-clock time, so traces stay comparable across restarts and replays.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct TraceEvent {
-    /// Monotonic sequence number (gaps mean the ring dropped events).
-    pub seq: u64,
-    /// Milliseconds since server start.
-    pub ts_ms: f64,
-    /// `submit` / `shed` / `reject` / `retry` / `done` / `cancelled` /
-    /// `timed_out` / `failed` / `panic` / `drain`.
-    pub event: String,
-    /// The job id the event concerns (empty for server-wide events).
-    pub job: String,
-    /// Free-form context, e.g. the error that triggered a retry.
-    pub detail: String,
-}
-
-/// The `GET /trace` body.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct TraceBody {
-    /// Events evicted from the ring since start (oldest-first window follows).
-    pub dropped: u64,
-    /// The ring's capacity (`--trace-ring-cap` / `JULIQAOA_TRACE_CAP`).
-    pub capacity: u64,
-    /// The retained events, oldest first.
-    pub events: Vec<TraceEvent>,
 }
 
 /// Lifecycle of a submitted job.
@@ -297,21 +264,13 @@ struct ServiceState {
     rejected: Counter,
     shed: Counter,
     auto_id: AtomicU64,
-    /// True once the worker pool is up; `/readyz` is 503 until then.
-    ready: AtomicBool,
     /// True once shutdown has begun; `/readyz` is 503 and `POST /jobs` is
     /// refused from then on, while `/healthz` keeps answering 200 (alive).
     draining: AtomicBool,
-    /// Set by `POST /shutdown`; the accept loop stops at the next poll.
-    stop_requested: AtomicBool,
-    started: Instant,
     results: Option<Journal>,
-    trace: TraceRing<TraceEvent>,
-    trace_seq: AtomicU64,
-    trace_out: Option<Arc<Mutex<std::io::BufWriter<std::fs::File>>>>,
-    /// Completed spans for `GET /trace/:id`; shared with the engine, which
-    /// records per-stage child spans, and mirrored to `trace_out`.
-    spans: Arc<SpanCollector>,
+    /// Trace ring, span collector (shared with the engine, which records
+    /// per-stage child spans) and the shutdown flag.
+    ops: Ops,
     /// The last finished job's trace id and stage timings — attached to the
     /// `/metrics` latency histograms as exemplar comment lines.
     last_exemplar: Mutex<Option<LastExemplar>>,
@@ -323,30 +282,6 @@ struct LastExemplar {
     trace_hex: String,
     timings: JobTimings,
     journal_write_ms: f64,
-}
-
-impl ServiceState {
-    /// Records a lifecycle event into the trace ring (and the `--trace-out`
-    /// file, when configured).  Observation only: failures to write the trace
-    /// file are swallowed so tracing can never fail a job.
-    fn trace_event(&self, event: &str, job: &str, detail: impl Into<String>) {
-        let entry = TraceEvent {
-            // relaxed: sequence allocator; fetch_add is atomic regardless of ordering.
-            seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            ts_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            event: event.to_string(),
-            job: job.to_string(),
-            detail: detail.into(),
-        };
-        if let Some(out) = &self.trace_out {
-            if let Ok(line) = serde_json::to_string(&entry) {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
-        }
-        self.trace.push(entry);
-    }
 }
 
 /// Status body returned by `POST /jobs`, `GET /jobs/:id` and `POST /jobs/:id/cancel`.
@@ -405,7 +340,7 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener and starts the worker pool (no requests are served until
-    /// [`Server::run`]).
+    /// [`Server::run`], so `/readyz` never answers before every worker is up).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let results = match &config.results_path {
@@ -420,30 +355,9 @@ impl Server {
             }
             None => None,
         };
-        let trace_out = match &config.trace_path {
-            Some(path) => Some(Arc::new(Mutex::new(std::io::BufWriter::new(
-                std::fs::File::create(path)?,
-            )))),
-            None => None,
-        };
-        let spans = Arc::new(SpanCollector::new(
-            config.trace_ring_cap.max(1),
-            crate::spans::collector_salt(),
-        ));
-        if let Some(out) = &trace_out {
-            // Mirror every span into the same JSONL journal the lifecycle
-            // events go to; span lines are distinguishable by their leading
-            // "span" key.  Write failures are swallowed — tracing must never
-            // fail a job.
-            let out = out.clone();
-            spans.set_sink(Box::new(move |span: &Span| {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{}", span.to_json_line());
-                let _ = w.flush();
-            }));
-        }
+        let ops = Ops::new(config.trace_path.as_deref(), config.trace_ring_cap)?;
         let engine = Engine::new(config.cache_capacity);
-        engine.set_span_collector(spans.clone());
+        engine.set_span_collector(ops.spans.clone());
         let state = Arc::new(ServiceState {
             engine,
             jobs: Mutex::new(HashMap::new()),
@@ -453,15 +367,9 @@ impl Server {
             rejected: Counter::new(),
             shed: Counter::new(),
             auto_id: AtomicU64::new(0),
-            ready: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            stop_requested: AtomicBool::new(false),
-            started: Instant::now(),
             results,
-            trace: TraceRing::new(config.trace_ring_cap.max(1)),
-            trace_seq: AtomicU64::new(0),
-            trace_out,
-            spans,
+            ops,
             last_exemplar: Mutex::new(None),
             config,
         });
@@ -473,9 +381,6 @@ impl Server {
                     .spawn(move || worker_loop(&state))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        // Readiness flips only after every worker thread is spawned: a prober
-        // that sees 200 on `/readyz` can rely on submitted jobs making progress.
-        state.ready.store(true, Ordering::SeqCst);
         Ok(Server {
             listener,
             state,
@@ -494,41 +399,10 @@ impl Server {
     }
 
     /// [`Server::run`], but also stops when `stop` becomes true — the hook the
-    /// binary uses to turn SIGTERM into a graceful drain.  The listener is
-    /// polled nonblockingly so an external stop is noticed between connections,
-    /// not only after the next client happens to connect.
+    /// binary uses to turn SIGTERM into a graceful drain.
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if stop.load(Ordering::SeqCst) || self.state.stop_requested.load(Ordering::SeqCst) {
-                break;
-            }
-            self.accept_one();
-        }
+        crate::ops::serve(&self.listener, &*self.state, stop)?;
         self.drain()
-    }
-
-    /// Polls the nonblocking listener once and serves the connection, if any.
-    fn accept_one(&self) {
-        match self.listener.accept() {
-            Ok((mut stream, _)) => {
-                // The accepted socket must not inherit nonblocking mode:
-                // request reads rely on the configured read timeout, not on
-                // a WouldBlock spin.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(
-                    self.state.config.read_timeout_ms.max(1),
-                )));
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                    self.state.config.write_timeout_ms.max(1),
-                )));
-                handle_connection(&self.state, &mut stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {}
-        }
     }
 
     /// Stops accepting work and drains the pool: queued jobs still run (unless
@@ -542,7 +416,7 @@ impl Server {
     /// shutdown window against a connection-refused error.
     fn drain(self) -> std::io::Result<()> {
         self.state.draining.store(true, Ordering::SeqCst);
-        self.state.trace_event(
+        self.state.ops.trace_event(
             "drain",
             "",
             format!("budget {} ms", self.state.config.drain_ms),
@@ -569,7 +443,7 @@ impl Server {
             })
         };
         while self.workers.iter().any(|w| !w.is_finished()) {
-            self.accept_one();
+            crate::ops::poll_once(&self.listener, &*self.state);
         }
         for worker in self.workers {
             let _ = worker.join();
@@ -600,7 +474,9 @@ fn worker_loop(state: &ServiceState) {
     while let Some(record) = state.queue.pop() {
         if record.cancel.load(Ordering::SeqCst) {
             record.set_state(JobState::Cancelled);
-            state.trace_event("cancelled", &record.spec.id, "cancelled while queued");
+            state
+                .ops
+                .trace_event("cancelled", &record.spec.id, "cancelled while queued");
             continue;
         }
         // Admission control: a job that already waited past the queue-wait
@@ -612,7 +488,7 @@ fn worker_loop(state: &ServiceState) {
                     Some(format!("shed after waiting more than {limit} ms in queue"));
                 record.set_state(JobState::Shed);
                 state.shed.inc();
-                state.trace_event(
+                state.ops.trace_event(
                     "shed",
                     &record.spec.id,
                     format!("waited more than {limit} ms in queue"),
@@ -628,7 +504,7 @@ fn worker_loop(state: &ServiceState) {
             .telemetry()
             .queue_wait_ms
             .observe(queue_wait_ms);
-        state.spans.record_closed(
+        state.ops.spans.record_closed(
             record.trace,
             Some(record.trace.root_span()),
             "queue_wait",
@@ -658,7 +534,7 @@ fn worker_loop(state: &ServiceState) {
             &control,
             &state.config.retry,
             |attempt, err| {
-                state.trace_event(
+                state.ops.trace_event(
                     "retry",
                     &record.spec.id,
                     format!("attempt {} failed: {err}", attempt + 1),
@@ -693,7 +569,7 @@ fn worker_loop(state: &ServiceState) {
                             .telemetry()
                             .journal_write_ms
                             .observe(journal_write_ms);
-                        state.spans.record_closed(
+                        state.ops.spans.record_closed(
                             record.trace,
                             Some(record.trace.root_span()),
                             "journal_write",
@@ -712,7 +588,9 @@ fn worker_loop(state: &ServiceState) {
                 if terminal == JobState::Done {
                     state.completed.inc();
                 }
-                state.trace_event(terminal.as_str(), &record.spec.id, "");
+                state
+                    .ops
+                    .trace_event(terminal.as_str(), &record.spec.id, "");
             }
             Err(err) => {
                 // A deadline that expired before the first evaluation is still
@@ -729,19 +607,21 @@ fn worker_loop(state: &ServiceState) {
                 } else {
                     terminal.as_str()
                 };
-                state.trace_event(event, &record.spec.id, err.to_string());
+                state
+                    .ops
+                    .trace_event(event, &record.spec.id, err.to_string());
             }
         }
         // Close the trace's root span: submission to terminal state, wrapping
         // the queue-wait and engine-stage children.  Its id *is* the trace id,
         // so every child above already points at it.
         let root_ms = record.enqueued_at.elapsed().as_secs_f64() * 1e3;
-        state.spans.record(Span {
+        state.ops.spans.record(Span {
             trace: record.trace,
             id: record.trace.root_span(),
             parent: None,
             name: "job".to_string(),
-            start_ms: (state.spans.now_ms() - root_ms).max(0.0),
+            start_ms: (state.ops.spans.now_ms() - root_ms).max(0.0),
             duration_ms: root_ms,
             attrs: vec![
                 ("job".to_string(), record.spec.id.clone()),
@@ -766,109 +646,78 @@ fn status_body(id: &str, record: &JobRecord) -> JobStatusBody {
     }
 }
 
-/// Handles one connection end to end.
-fn handle_connection(state: &Arc<ServiceState>, stream: &mut TcpStream) {
-    // Chaos hook: a "slow backend" delays every response by a fixed amount,
-    // which is what exercises a router's hedged reads deterministically.
-    crate::fault::delay_response();
-    let request = match read_request_limited(stream, state.config.max_body_bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            write_error(stream, e.status, &e.message);
-            return;
-        }
-    };
-    route(state, stream, &request);
-}
-
-fn route(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Request) {
-    let path = request.path.trim_end_matches('/');
-    // Chaos hook: a blackholed probe endpoint accepts the connection but never
-    // answers — the partition-like failure mode (distinct from a dead process,
-    // whose connections are refused) that probers must classify as Down.
-    if crate::fault::probe_blackholed() && matches!(path, "/healthz" | "/readyz") {
-        return;
+impl Tier for ServiceState {
+    fn ops(&self) -> &Ops {
+        &self.ops
     }
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => handle_submit(state, stream, request),
-        ("GET", "/metrics") => handle_prometheus(state, stream),
-        ("GET", "/stats") => handle_stats(state, stream),
-        ("GET", "/trace") => handle_trace(state, stream),
-        ("GET", "/version") => handle_version(stream),
-        ("GET", "/healthz") => write_json(stream, 200, "{\"status\": \"ok\"}"),
-        ("GET", "/readyz") => {
-            // Readiness is liveness plus "safe to route jobs here": false
-            // before the worker pool is up and from the moment draining starts.
-            if state.ready.load(Ordering::SeqCst) && !state.draining.load(Ordering::SeqCst) {
-                write_json(stream, 200, "{\"status\": \"ready\"}")
-            } else if state.draining.load(Ordering::SeqCst) {
-                write_error(stream, 503, "draining")
-            } else {
-                write_error(stream, 503, "worker pool not up yet")
-            }
+
+    fn max_body_bytes(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
+    fn io_timeout_ms(&self) -> (u64, u64) {
+        (self.config.read_timeout_ms, self.config.write_timeout_ms)
+    }
+
+    fn on_connection(&self) {
+        // Chaos hook: a "slow backend" delays every response by a fixed amount,
+        // which is what exercises a router's hedged reads deterministically.
+        crate::fault::delay_response();
+    }
+
+    fn route(&self, stream: &mut TcpStream, request: &Request, path: &str) -> bool {
+        // Chaos hook: a blackholed probe endpoint accepts the connection but never
+        // answers — the partition-like failure mode (distinct from a dead process,
+        // whose connections are refused) that probers must classify as Down.
+        if crate::fault::probe_blackholed() && matches!(path, "/healthz" | "/readyz") {
+            return true;
         }
-        ("POST", "/shutdown") => {
-            state.stop_requested.store(true, Ordering::SeqCst);
-            write_json(stream, 200, "{\"status\": \"shutting down\"}");
-        }
-        (method, path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
+        match (request.method.as_str(), path) {
+            ("POST", "/jobs") => handle_submit(self, stream, request),
+            ("GET", "/metrics") => handle_prometheus(self, stream),
+            ("GET", "/stats") => handle_stats(self, stream),
+            (method, path) => {
+                let Some(rest) = path.strip_prefix("/jobs/") else {
+                    return false;
+                };
                 match (
                     method,
                     rest.strip_suffix("/result"),
                     rest.strip_suffix("/cancel"),
                 ) {
-                    ("GET", Some(id), _) => handle_result(state, stream, id),
-                    ("POST", _, Some(id)) => handle_cancel(state, stream, id),
-                    ("GET", None, None) => handle_status(state, stream, rest),
-                    _ => write_error(stream, 405, "method not allowed"),
+                    ("GET", Some(id), _) => handle_result(self, stream, id),
+                    ("POST", _, Some(id)) => handle_cancel(self, stream, id),
+                    ("GET", None, None) => handle_status(self, stream, rest),
+                    _ => return false,
                 }
-            } else if let Some(trace_hex) = path.strip_prefix("/trace/") {
-                match method {
-                    "GET" => handle_trace_id(state, stream, trace_hex),
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else {
-                write_error(stream, 404, "no such endpoint");
             }
+        }
+        true
+    }
+
+    fn readiness(&self) -> Result<(), &'static str> {
+        // Readiness is liveness plus "safe to route jobs here": false from the
+        // moment draining starts.
+        if self.draining.load(Ordering::SeqCst) {
+            Err("draining")
+        } else {
+            Ok(())
         }
     }
 }
 
-fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Request) {
+fn handle_submit(state: &ServiceState, stream: &mut TcpStream, request: &Request) {
     if state.draining.load(Ordering::SeqCst) {
         write_error(stream, 503, "server is draining, not accepting jobs");
         return;
     }
-    let body = String::from_utf8_lossy(&request.body);
-    let mut spec: JobSpec = match serde_json::from_str(&body) {
+    let spec = match JobSpec::from_submission(&request.body, &state.auto_id) {
         Ok(spec) => spec,
         Err(e) => {
-            write_error(stream, 400, &format!("invalid job spec: {e}"));
+            write_error(stream, 400, &e);
             return;
         }
     };
-    if spec.id.is_empty() {
-        // relaxed: id allocator; uniqueness needs atomicity, not ordering.
-        spec.id = format!("job-{}", state.auto_id.fetch_add(1, Ordering::Relaxed));
-    }
-    // Reject oversized/incompatible specs at submission time with the cheap shape
-    // checks — realising instances and mixers is worker-thread work, and the accept
-    // loop must never block other clients behind an O(2ⁿ) build.  Sampling
-    // parameters (shots > 0, 0 < α ≤ 1, …) are validated here too, so a bad sample
-    // job dies with a structured 400 instead of reaching a worker.
-    if let Err(e) = spec
-        .problem
-        .shape()
-        .and_then(|(_, subspace_k)| spec.mixer.check_compatible(subspace_k))
-        .and_then(|()| match &spec.sampling {
-            Some(sampling) => sampling.validate(),
-            None => Ok(()),
-        })
-    {
-        write_error(stream, 400, &format!("invalid job spec: {e}"));
-        return;
-    }
     // The trace id: adopted from the router's header when present (the edge
     // assignment is authoritative), derived from the spec otherwise.  The
     // derivation builds the instance — graph generation and a hash, not the
@@ -904,7 +753,7 @@ fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Re
             .is_some_and(|w| w > Duration::from_millis(limit_ms));
         if stale {
             state.shed.inc();
-            state.trace_event(
+            state.ops.trace_event(
                 "shed",
                 &spec.id,
                 format!("rejected at submission: queue head waited more than {limit_ms} ms"),
@@ -935,33 +784,35 @@ fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Re
     if !state.queue.try_push(record.clone()) {
         state.jobs.lock().expect("jobs lock").remove(&spec.id);
         state.rejected.inc();
-        state.trace_event("reject", &spec.id, "queue full");
+        state.ops.trace_event("reject", &spec.id, "queue full");
         write_error(stream, 429, "job queue is full, retry later");
         return;
     }
     state.submitted.inc();
-    state.trace_event("submit", &spec.id, trace.to_hex());
-    match serde_json::to_string(&status_body(&spec.id, &record)) {
-        Ok(json) => write_json(stream, 202, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    state.ops.trace_event("submit", &spec.id, trace.to_hex());
+    write_json_or_500(
+        stream,
+        202,
+        serde_json::to_string(&status_body(&spec.id, &record)),
+    );
 }
 
 fn lookup(state: &ServiceState, id: &str) -> Option<Arc<JobRecord>> {
     state.jobs.lock().expect("jobs lock").get(id).cloned()
 }
 
-fn handle_status(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
+fn handle_status(state: &ServiceState, stream: &mut TcpStream, id: &str) {
     match lookup(state, id) {
-        Some(record) => match serde_json::to_string(&status_body(id, &record)) {
-            Ok(json) => write_json(stream, 200, &json),
-            Err(_) => write_error(stream, 500, "serialisation failed"),
-        },
+        Some(record) => write_json_or_500(
+            stream,
+            200,
+            serde_json::to_string(&status_body(id, &record)),
+        ),
         None => write_error(stream, 404, &format!("unknown job {id:?}")),
     }
 }
 
-fn handle_result(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
+fn handle_result(state: &ServiceState, stream: &mut TcpStream, id: &str) {
     let Some(record) = lookup(state, id) else {
         write_error(stream, 404, &format!("unknown job {id:?}"));
         return;
@@ -1008,16 +859,17 @@ fn handle_result(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
     }
 }
 
-fn handle_cancel(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
+fn handle_cancel(state: &ServiceState, stream: &mut TcpStream, id: &str) {
     let Some(record) = lookup(state, id) else {
         write_error(stream, 404, &format!("unknown job {id:?}"));
         return;
     };
     record.cancel.store(true, Ordering::SeqCst);
-    match serde_json::to_string(&status_body(id, &record)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    write_json_or_500(
+        stream,
+        200,
+        serde_json::to_string(&status_body(id, &record)),
+    );
 }
 
 /// Per-state counts of every job the service still tracks:
@@ -1042,10 +894,10 @@ fn job_state_counts(state: &ServiceState) -> (u64, u64, u64, u64, u64) {
     (running, done, cancelled, timed_out, failed)
 }
 
-fn handle_stats(state: &Arc<ServiceState>, stream: &mut TcpStream) {
+fn handle_stats(state: &ServiceState, stream: &mut TcpStream) {
     let (running, done, cancelled, timed_out, failed) = job_state_counts(state);
     let body = MetricsBody {
-        uptime_s: state.started.elapsed().as_secs_f64(),
+        uptime_s: state.ops.uptime_s(),
         jobs_submitted: state.submitted.get(),
         jobs_rejected: state.rejected.get(),
         queue_depth: state.queue.len() as u64,
@@ -1058,16 +910,13 @@ fn handle_stats(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         cached_instances: state.engine.cached_instances() as u64,
         engine: state.engine.stats(),
     };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    write_json_or_500(stream, 200, serde_json::to_string_pretty(&body));
 }
 
 /// Prometheus text exposition (format 0.0.4) of every counter the JSON
 /// `GET /stats` body exposes, plus the per-job latency histograms and the
 /// process-global kernel profiling counters.
-fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
+fn handle_prometheus(state: &ServiceState, stream: &mut TcpStream) {
     let (running, done, cancelled, timed_out, failed) = job_state_counts(state);
     let engine = state.engine.stats();
     let k = kernels::snapshot();
@@ -1077,7 +926,7 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
     w.gauge_f64(
         "uptime_seconds",
         "Seconds since the server started.",
-        state.started.elapsed().as_secs_f64(),
+        state.ops.uptime_s(),
     );
     w.counter(
         "jobs_submitted",
@@ -1130,16 +979,7 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         "Problem instances currently in the engine cache.",
         state.engine.cached_instances() as u64,
     );
-    w.counter(
-        "trace_events_dropped",
-        "Lifecycle events evicted from the bounded trace ring.",
-        state.trace.dropped(),
-    );
-    w.counter(
-        "trace_spans_dropped",
-        "Completed spans evicted from the bounded span collector.",
-        state.spans.dropped(),
-    );
+    state.ops.write_dropped(&mut w);
 
     w.counter(
         "engine_jobs_executed",
@@ -1321,45 +1161,4 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
     }
 
     write_body(stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
-}
-
-fn handle_trace(state: &Arc<ServiceState>, stream: &mut TcpStream) {
-    let body = TraceBody {
-        dropped: state.trace.dropped(),
-        capacity: state.trace.capacity() as u64,
-        events: state.trace.snapshot(),
-    };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /trace/:id`: the retained spans of one trace, flat and as a tree.
-fn handle_trace_id(state: &Arc<ServiceState>, stream: &mut TcpStream, raw: &str) {
-    let Some(trace) = TraceId::parse(raw) else {
-        write_error(
-            stream,
-            400,
-            &format!("invalid trace id {raw:?} (want 16 hex digits)"),
-        );
-        return;
-    };
-    let spans = state.spans.for_trace(trace);
-    if spans.is_empty() {
-        write_error(stream, 404, &format!("no spans retained for trace {raw:?}"));
-        return;
-    }
-    match serde_json::to_string_pretty(&trace_body(trace, spans)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /version`: build identity, for correlating multi-process journals.
-fn handle_version(stream: &mut TcpStream) {
-    match serde_json::to_string_pretty(&version_value()) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
 }

@@ -21,6 +21,7 @@ use juliqaoa_problems::{
 };
 use juliqaoa_telemetry::TraceId;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Frozen domain tag for trace-id derivation — see [`derive_trace_id`].
 const TRACE_ID_DOMAIN: u64 = 0x7E1E_7ACE_5A9C_0DE5;
@@ -483,6 +484,32 @@ impl JobSpec {
         } else {
             "exact"
         }
+    }
+
+    /// Parses a `POST /jobs` body, names an id-less spec `job-<n>` from
+    /// `auto_id`, and runs the cheap submission checks both HTTP tiers share:
+    /// problem shape, mixer compatibility and sampling parameters (shots > 0,
+    /// 0 < α ≤ 1, …).  Realising instances and mixers is worker work, so the
+    /// accept loop never blocks other clients behind an O(2ⁿ) build; a bad spec
+    /// dies here with a structured 400 whose message is the `Err`.
+    pub fn from_submission(body: &[u8], auto_id: &AtomicU64) -> Result<JobSpec, String> {
+        let invalid = |e: String| format!("invalid job spec: {e}");
+        let mut spec: JobSpec = serde_json::from_str(&String::from_utf8_lossy(body))
+            .map_err(|e| invalid(e.to_string()))?;
+        if spec.id.is_empty() {
+            // relaxed: id allocator; uniqueness needs atomicity, not ordering.
+            spec.id = format!("job-{}", auto_id.fetch_add(1, Ordering::Relaxed));
+        }
+        spec.problem
+            .shape()
+            .and_then(|(_, subspace_k)| spec.mixer.check_compatible(subspace_k))
+            .and_then(|()| {
+                spec.sampling
+                    .as_ref()
+                    .map_or(Ok(()), SamplingSpec::validate)
+            })
+            .map_err(invalid)?;
+        Ok(spec)
     }
 
     /// The job's deterministic trace id (see [`derive_trace_id`]).

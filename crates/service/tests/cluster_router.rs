@@ -6,24 +6,33 @@ use juliqaoa_service::{
     JobResult, JobSpec, JobStatusBody, MixerSpec, OptimizerSpec, ProblemSpec, Router, RouterConfig,
     RouterStatsBody, Server, ServerConfig,
 };
+use serde::Value;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
+    let body = body.unwrap_or("");
+    send(
+        addr,
+        &format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+/// Sends `raw` verbatim and parses the status line and body of the reply.
+fn send(addr: SocketAddr, raw_request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
+    stream
+        .write_all(raw_request.as_bytes())
+        .expect("write request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let status: u16 = raw
@@ -481,4 +490,88 @@ fn backend_readyz_splits_from_healthz_during_drain() {
         .stop
         .store(true, std::sync::atomic::Ordering::SeqCst);
     backend.handle.join().unwrap();
+}
+
+#[test]
+fn serve_and_route_tiers_share_one_ops_contract() {
+    // The ops endpoints and the fallbacks answer identically on both tiers:
+    // same status codes, and every error is a one-field `{"error": …}` object.
+    let backend = start_backend();
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let oversized = "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 999999999\r\nConnection: close\r\n\r\n";
+    let table: [(&str, &str, u16); 9] = [
+        ("GET", "/healthz", 200),
+        ("GET", "/readyz", 200),
+        ("GET", "/version", 200),
+        ("GET", "/trace/zz", 400),
+        ("GET", "/trace/0123456789abcdef", 404),
+        ("GET", "/nope", 404),
+        ("GET", "/jobs/x/cancel", 405),
+        ("POST", "/trace/abc", 405),
+        ("POST", "<oversized>", 413),
+    ];
+    for (tier, addr) in [("serve", backend.addr), ("route", router)] {
+        for (method, path, want) in table {
+            let (status, body) = if path == "<oversized>" {
+                send(addr, oversized)
+            } else {
+                request(addr, method, path, None)
+            };
+            assert_eq!(status, want, "{tier} {method} {path}: {body}");
+            let value: Value = serde_json::from_str(&body)
+                .unwrap_or_else(|e| panic!("{tier} {method} {path}: non-JSON body {body:?}: {e}"));
+            let fields = value.as_object().expect("JSON object body");
+            if want >= 400 {
+                assert_eq!(fields.len(), 1, "{tier} {method} {path}: {body}");
+                assert_eq!(fields[0].0, "error", "{tier} {method} {path}: {body}");
+                assert!(
+                    fields[0].1.as_str().is_some(),
+                    "{tier} {method} {path}: {body}"
+                );
+            } else {
+                assert!(!fields.is_empty(), "{tier} {method} {path}: {body}");
+            }
+        }
+    }
+    let (status, _) = request(router, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    router_handle.join().unwrap();
+    let (status, _) = request(backend.addr, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    backend.handle.join().unwrap();
+}
+
+#[test]
+fn trace_lookup_skips_backends_whose_circuit_is_open() {
+    // A backend that accepts connections but never answers: every request to
+    // it costs a full timeout.  Once the prober has tripped its breaker, the
+    // router's `/trace/:id` must not wait on it — the accept loop is single
+    // threaded, so a stalled merge would freeze `/healthz` too.
+    let blackhole = TcpListener::bind("127.0.0.1:0").expect("bind blackhole");
+    let (router, router_handle) =
+        start_router(vec![blackhole.local_addr().unwrap().to_string()], None);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _) = request(router, "GET", "/readyz", None);
+        if status == 503 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the blackholed backend never tripped"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let started = Instant::now();
+    let (status, body) = request(router, "GET", "/trace/0123456789abcdef", None);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 404, "{body}");
+    // backend_timeout_ms is 10 s; a skipped backend costs nothing.
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "/trace/:id waited {elapsed:?} on an open circuit"
+    );
+    let (status, _) = request(router, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    router_handle.join().unwrap();
 }

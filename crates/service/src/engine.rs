@@ -28,19 +28,23 @@
 //! The engine is built so job throughput scales with the worker count instead of
 //! serialising on shared state:
 //!
-//! * both caches are [`ShardedLru`]s — lookups on different keys never share a lock;
+//! * each cache is one [`LruCache`] behind one mutex, holding at most the configured
+//!   number of entries exactly.  A job takes at most five of these critical
+//!   sections, each one `HashMap` operation, against 15 ms to seconds of compute,
+//!   so the locks are never the contended resource at service worker counts;
 //! * instance preparation is **single-flight**: concurrent misses on one
 //!   [`InstanceId`] coalesce, one worker builds the `2ⁿ` pre-computation while the
 //!   rest block on the in-flight entry and share the result (counted in
 //!   `prep_coalesced`), so a thundering herd on a cold hot instance pays one build,
-//!   not one per worker;
+//!   not one per worker.  The in-flight table lives under the instance-cache lock,
+//!   so a hit, joining a flight and registering one are a single critical section;
 //! * each simulator slot parks a small **pool** of prefix caches, not a single
 //!   `Option` — concurrent jobs on the same `(instance, mixer)` each check out a
 //!   warm set of checkpoints, and returns merge *deepest-wins*
 //!   ([`PrefixCache::merge_deeper`]) instead of keeping whichever cache came back
 //!   first.
 
-use crate::lru::ShardedLru;
+use crate::lru::LruCache;
 use crate::spec::{
     BuiltProblem, EstimatorSpec, JobResult, JobSpec, JobTimings, MixerSpec, OptimizerSpec,
     SampleReport, SamplingSpec, RATIO_HISTOGRAM_BINS,
@@ -57,7 +61,7 @@ use juliqaoa_sampling::{estimator, IndexMap};
 use juliqaoa_telemetry::{Counter, Histogram, SpanCollector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -255,7 +259,15 @@ struct SimSlot {
 }
 
 /// The simulator-slot cache: shared, individually locked slots per `(instance, mixer)`.
-type SimSlotCache = ShardedLru<(InstanceId, MixerSpec), Arc<Mutex<SimSlot>>>;
+type SimSlotCache = LruCache<(InstanceId, MixerSpec), Arc<Mutex<SimSlot>>>;
+
+/// The instance cache together with its single-flight table, under one lock.
+struct Instances {
+    lru: LruCache<InstanceId, Arc<PreparedObjective>>,
+    /// In-flight preparations, for single-flight coalescing.  The expensive build
+    /// happens outside the lock.
+    inflight: HashMap<InstanceId, Arc<PrepFlight>>,
+}
 
 /// Maximum prefix caches parked per simulator slot.  Sized for a small worker pool
 /// hammering one hot instance: each concurrent job checks a warm cache out and parks
@@ -271,11 +283,6 @@ const PARKED_PREFIX_STATES: usize = 8;
 
 /// Bytes of one statevector element (`Complex64`).
 const STATE_ELEM_BYTES: usize = 16;
-
-/// Lock shards for the instance and simulator-slot caches.  Sized comfortably above
-/// any worker count this service runs with, so concurrent lookups on different keys
-/// effectively never contend.
-const CACHE_SHARDS: usize = 8;
 
 /// Single-flight coordination for one in-progress instance preparation: the builder
 /// publishes exactly once, waiters block on the condvar.
@@ -349,12 +356,8 @@ fn test_panic_job_id_matches(job_id: &str) -> bool {
 
 /// The shared execution engine: instance cache, simulator slots and counters.
 pub struct Engine {
-    cache: ShardedLru<InstanceId, Arc<PreparedObjective>>,
-    /// In-flight preparations, for single-flight coalescing.  A plain mutex is fine
-    /// here: it is touched only on instance-cache misses, and the expensive build
-    /// happens outside it.
-    inflight: Mutex<HashMap<InstanceId, Arc<PrepFlight>>>,
-    sims: SimSlotCache,
+    instances: Mutex<Instances>,
+    sims: Mutex<SimSlotCache>,
     jobs_executed: Counter,
     jobs_failed: Counter,
     jobs_panicked: Counter,
@@ -445,21 +448,20 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 pub const DEFAULT_CACHE_BYTES: u64 = 2 << 30;
 
 impl Engine {
-    /// An engine whose cache holds at most `cache_capacity` prepared instances,
-    /// bounded to [`DEFAULT_CACHE_BYTES`] total.
+    /// An engine whose instance cache and simulator-slot cache each hold at most
+    /// `cache_capacity` entries (exactly; `0` counts as `1`) and at most
+    /// [`DEFAULT_CACHE_BYTES`] total, each behind one lock.
     pub fn new(cache_capacity: usize) -> Self {
+        let capacity = cache_capacity.max(1);
         Engine {
-            cache: ShardedLru::with_shards(
-                CACHE_SHARDS,
-                cache_capacity.max(1),
+            instances: Mutex::new(Instances {
+                lru: LruCache::with_weight_budget(capacity, Some(DEFAULT_CACHE_BYTES)),
+                inflight: HashMap::new(),
+            }),
+            sims: Mutex::new(LruCache::with_weight_budget(
+                capacity,
                 Some(DEFAULT_CACHE_BYTES),
-            ),
-            inflight: Mutex::new(HashMap::new()),
-            sims: ShardedLru::with_shards(
-                CACHE_SHARDS,
-                cache_capacity.max(1),
-                Some(DEFAULT_CACHE_BYTES),
-            ),
+            )),
             jobs_executed: Counter::new(),
             jobs_failed: Counter::new(),
             jobs_panicked: Counter::new(),
@@ -509,12 +511,18 @@ impl Engine {
         prepared: &PreparedObjective,
     ) -> Result<Arc<Mutex<SimSlot>>, ServiceError> {
         let key = (problem.instance_id, *mixer_spec);
-        if let Some(slot) = self.sims.get(&key) {
+        let cached = self
+            .sims
+            .lock()
+            .expect("slot cache poisoned")
+            .get(&key)
+            .cloned();
+        if let Some(slot) = cached {
             return Ok(slot);
         }
-        // Build outside the lock; racing workers may both build, but
-        // `get_or_insert_weighted` hands every caller the one winning slot, so the
-        // checkpoint pool is never split across two live copies.
+        // Build outside the lock; racing workers may both build, but the insert
+        // below hands every caller the one winning slot, so the checkpoint pool is
+        // never split across two live copies.
         let mixer = mixer_spec.build(problem).map_err(ServiceError::Spec)?;
         let sim = Simulator::from_parts(
             prepared.values.clone(),
@@ -530,14 +538,17 @@ impl Engine {
         // `update_slot_weight`), so an idle slot never pays for warmth it does not
         // hold — charging the whole-pool worst case up front would cut co-resident
         // slots ~4× at larger `n` for no resident memory at all.
-        Ok(self
-            .sims
-            .get_or_insert_weighted(key, slot, prepared.approx_bytes()))
+        let mut sims = self.sims.lock().expect("slot cache poisoned");
+        if let Some(winner) = sims.get(&key) {
+            return Ok(winner.clone());
+        }
+        sims.insert_weighted(key, slot.clone(), prepared.approx_bytes());
+        Ok(slot)
     }
 
     /// Re-prices a slot in the LRU as the sum of its prepared data and the bytes its
     /// pool *actually* parks right now.  Called after every checkout (weight drops)
-    /// and park (weight grows).  Uses `update_weight`, never an insert: if the LRU
+    /// and park (weight grows).  Uses `set_weight`, never an insert: if the LRU
     /// has already evicted this slot, a job still holding its `Arc` must not
     /// resurrect it and evict a live slot in its place — the orphaned pool simply
     /// dies with the last `Arc`.  Concurrent jobs may briefly leave the recorded
@@ -553,7 +564,9 @@ impl Engine {
             slot.pool.iter().map(|cache| cache.bytes()).sum()
         };
         self.sims
-            .update_weight(&key, prepared_bytes + pooled as u64);
+            .lock()
+            .expect("slot cache poisoned")
+            .set_weight(&key, prepared_bytes + pooled as u64);
     }
 
     /// Fetches (or computes and caches) the pre-computation for a built problem.
@@ -565,30 +578,20 @@ impl Engine {
     /// `prep_coalesced`).  If a build panics, waiters wake, and retry; one of them
     /// becomes the new builder, so a poisoned build never wedges the instance.
     pub fn prepare(&self, problem: &BuiltProblem) -> (Arc<PreparedObjective>, bool) {
+        let id = problem.instance_id;
         loop {
-            if let Some(found) = self.cache.get(&problem.instance_id) {
-                self.cache_hits.inc();
-                return (found, true);
-            }
-            // Miss: join the in-flight build for this instance, or start one.
+            // Hit, or join the in-flight build for this instance, or start one — in
+            // one critical section, so no other builder can register in between.
             let (flight, this_worker_builds) = {
-                let mut inflight = self.inflight.lock().expect("inflight table poisoned");
-                match inflight.get(&problem.instance_id) {
-                    Some(flight) => (flight.clone(), false),
-                    None => {
-                        // Re-check the cache while holding the inflight lock: a
-                        // builder that finished between our miss above and this
-                        // lock has already filled the cache (it inserts *before*
-                        // retiring its flight), and registering as a new builder
-                        // here would duplicate its 2ⁿ build.  Lock order is always
-                        // inflight → cache shard, so this cannot deadlock.
-                        if let Some(found) = self.cache.get(&problem.instance_id) {
-                            self.cache_hits.inc();
-                            return (found, true);
-                        }
-                        let flight = Arc::new(PrepFlight::new());
-                        inflight.insert(problem.instance_id, flight.clone());
-                        (flight, true)
+                let mut instances = self.instances.lock().expect("instance cache poisoned");
+                if let Some(found) = instances.lru.get(&id).cloned() {
+                    self.cache_hits.inc();
+                    return (found, true);
+                }
+                match instances.inflight.entry(id) {
+                    Entry::Occupied(occupied) => (occupied.get().clone(), false),
+                    Entry::Vacant(vacant) => {
+                        (vacant.insert(Arc::new(PrepFlight::new())).clone(), true)
                     }
                 }
             };
@@ -619,29 +622,28 @@ impl Engine {
             }));
             match built {
                 Ok(prepared) => {
-                    // Order matters: fill the cache *before* retiring the flight.
-                    // A new caller arriving in between then hits the cache instead
-                    // of finding neither and starting a duplicate build.  Waiters
-                    // hold the flight `Arc`, so publishing after removal still
-                    // reaches every one of them.
+                    // One critical section fills the cache and retires the flight,
+                    // so a new caller finds one or the other.  Waiters hold the
+                    // flight `Arc`, so publishing after removal still reaches every
+                    // one of them.
                     let weight = prepared.approx_bytes();
-                    self.cache
-                        .insert_weighted(problem.instance_id, prepared.clone(), weight);
-                    self.inflight
-                        .lock()
-                        .expect("inflight table poisoned")
-                        .remove(&problem.instance_id);
+                    {
+                        let mut instances = self.instances.lock().expect("instance cache poisoned");
+                        instances.lru.insert_weighted(id, prepared.clone(), weight);
+                        instances.inflight.remove(&id);
+                    }
                     flight.publish(Some(prepared.clone()));
                     return (prepared, false);
                 }
                 Err(payload) => {
-                    // Failure order is the reverse: retire the flight *before*
-                    // waking the waiters, so a retrying waiter can never rejoin the
-                    // dead flight — one of them becomes the new builder.
-                    self.inflight
+                    // Retire the flight *before* waking the waiters, so a retrying
+                    // waiter can never rejoin the dead flight — one of them becomes
+                    // the new builder.
+                    self.instances
                         .lock()
-                        .expect("inflight table poisoned")
-                        .remove(&problem.instance_id);
+                        .expect("instance cache poisoned")
+                        .inflight
+                        .remove(&id);
                     flight.publish(None);
                     std::panic::resume_unwind(payload);
                 }
@@ -671,19 +673,24 @@ impl Engine {
 
     /// Number of instances currently cached.
     pub fn cached_instances(&self) -> usize {
-        self.cache.len()
+        self.instances
+            .lock()
+            .expect("instance cache poisoned")
+            .lru
+            .len()
     }
 
     /// Number of `(instance, mixer)` simulator slots currently cached.
     pub fn cached_simulators(&self) -> usize {
-        self.sims.len()
+        self.sims.lock().expect("slot cache poisoned").len()
     }
 
     /// Total prefix caches currently parked across all simulator-slot pools — how
     /// many concurrent jobs could start from warm checkpoints right now.
     pub fn parked_prefix_caches(&self) -> usize {
-        self.sims
-            .values()
+        // Clone the slots out first: a slot lock is never taken under the cache lock.
+        let slots = self.sims.lock().expect("slot cache poisoned").values();
+        slots
             .iter()
             .map(|slot| slot.lock().expect("sim slot poisoned").pool.len())
             .sum()

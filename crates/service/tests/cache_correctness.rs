@@ -141,3 +141,24 @@ fn eviction_keeps_results_correct() {
     assert!(tiny.stats().cache_misses > 2);
     assert_eq!(big.stats().cache_misses, 2);
 }
+
+#[test]
+fn cache_capacity_is_an_exact_entry_bound() {
+    // `Engine::new(16)` holds at most 16 instances and 16 simulator slots, however
+    // the instance ids hash: 24 distinct instances must leave exactly 16 of each.
+    let engine = Engine::new(16);
+    for instance in 0..24 {
+        let mut spec = job(
+            &format!("cap-{instance}"),
+            ProblemSpec::MaxCutGnp { n: 6, instance },
+            MixerSpec::TransverseField,
+            instance,
+        );
+        spec.p = 1;
+        spec.optimizer = OptimizerSpec::GridSearch { resolution: 2 };
+        engine.run_job(&spec, &RunControl::new()).unwrap();
+    }
+    assert_eq!(engine.stats().instance_builds, 24);
+    assert_eq!(engine.cached_instances(), 16);
+    assert_eq!(engine.cached_simulators(), 16);
+}

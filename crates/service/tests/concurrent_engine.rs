@@ -175,6 +175,84 @@ fn concurrent_misses_on_one_instance_build_exactly_once() {
     );
 }
 
+/// A cost function whose first evaluation stalls and then panics, so the first
+/// build of its instance dies while other workers wait on it.
+struct PanickingCost {
+    n: usize,
+    started: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl CostFunction for PanickingCost {
+    fn num_qubits(&self) -> usize {
+        self.n
+    }
+
+    fn evaluate(&self, state: u64) -> f64 {
+        use std::sync::atomic::Ordering;
+        if !self.started.swap(true, Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(150));
+            panic!("first build of the instance fails");
+        }
+        state.count_ones() as f64
+    }
+}
+
+#[test]
+fn a_panicking_build_wakes_waiters_and_one_rebuilds() {
+    const WORKERS: usize = 4;
+    let engine = Arc::new(Engine::new(8));
+    let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let problem = Arc::new(BuiltProblem {
+        kind: "panicking",
+        n: 6,
+        subspace_k: None,
+        cost: Box::new(PanickingCost {
+            n: 6,
+            started: started.clone(),
+        }),
+        instance_id: InstanceId::from_raw(0xDEADB11D),
+    });
+
+    // Worker 0 builds and panics after the stall; the others call `prepare` once
+    // the stall has begun, so they wait on the doomed flight.
+    let handles: Vec<_> = (0..WORKERS)
+        .map(|t| {
+            let engine = engine.clone();
+            let problem = problem.clone();
+            let started = started.clone();
+            std::thread::spawn(move || {
+                if t > 0 {
+                    while !started.load(std::sync::atomic::Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                let (prepared, _hit) = engine.prepare(&problem);
+                prepared
+            })
+        })
+        .collect();
+    let mut joined = handles.into_iter().map(|h| h.join());
+    assert!(
+        joined.next().unwrap().is_err(),
+        "the builder's thread panics"
+    );
+    let prepared: Vec<_> = joined.map(|r| r.expect("waiters survive")).collect();
+    assert_eq!(prepared.len(), WORKERS - 1);
+    for other in &prepared[1..] {
+        assert!(Arc::ptr_eq(&prepared[0], other), "one rebuild, shared");
+    }
+
+    // The rebuilt instance is cached: a later prepare is a hit with no new build.
+    let (again, hit) = engine.prepare(&problem);
+    assert!(hit);
+    assert!(Arc::ptr_eq(&prepared[0], &again));
+    assert_eq!(
+        engine.stats().instance_builds,
+        2,
+        "the failed build plus one"
+    );
+}
+
 #[test]
 fn concurrent_jobs_each_park_a_checkpoint_cache() {
     // Regression test for the old single-`Option` write-back, where concurrent jobs

@@ -29,7 +29,8 @@ fn state(n: usize) -> Vec<Complex64> {
 
 fn bench_walsh_hadamard(c: &mut Criterion) {
     let mut group = c.benchmark_group("walsh_hadamard");
-    for n in [10usize, 14, 18] {
+    // 16 is the smallest size on the parallel path at the default threshold.
+    for n in [10usize, 14, 16, 18] {
         let mut psi = state(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| walsh::walsh_hadamard(black_box(&mut psi)));

@@ -1,5 +1,6 @@
-//! Kernel performance snapshot: dense vs table-driven phase separator and fused vs
-//! unfused Grover rounds, written to `BENCH_kernels.json`.
+//! Kernel performance snapshot: dense vs table-driven phase separator, fused vs
+//! unfused Grover rounds and the Walsh–Hadamard transform behind every Pauli-X mixer,
+//! written to `BENCH_kernels.json`.
 //!
 //! This is the machine-readable counterpart of `benches/phase_table.rs`, meant to seed
 //! the repo's performance trajectory: run it on a quiet machine and commit the JSON to
@@ -10,7 +11,7 @@
 use juliqaoa_bench::harness::BenchTimer;
 use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_core::{Angles, Simulator};
-use juliqaoa_linalg::{vector, Complex64};
+use juliqaoa_linalg::{enter_outer_parallelism, vector, walsh, Complex64};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_problems::{precompute_full, MaxCut, PhaseClasses};
 use serde::Serialize;
@@ -35,12 +36,25 @@ struct GroverRoundRow {
 }
 
 #[derive(Serialize)]
+struct WalshHadamardRow {
+    n: usize,
+    /// Parallel regions one default-path transform opens.
+    parallel_regions: usize,
+    /// `(n + 1) × 32 B` per amplitude: one read and one write per butterfly level plus
+    /// the scale, as perfbench's roofline counts it.
+    bytes_per_call: f64,
+    default_ns: f64,
+    outer_guard_ns: f64,
+}
+
+#[derive(Serialize)]
 struct Snapshot {
     description: String,
     threads: usize,
     par_threshold: usize,
     phase_separator: Vec<PhaseSeparatorRow>,
     grover_round: Vec<GroverRoundRow>,
+    walsh_hadamard: Vec<WalshHadamardRow>,
 }
 
 fn main() {
@@ -50,6 +64,7 @@ fn main() {
 
     let mut phase_rows = Vec::new();
     let mut grover_rows = Vec::new();
+    let mut walsh_rows = Vec::new();
 
     for &(n, reps) in &[(16usize, 7usize), (20, 5), (24, 3)] {
         let graph = paper_maxcut_instance(n, 0);
@@ -111,17 +126,44 @@ fn main() {
             fused_table_ns: fused_ns,
             speedup: unfused_ns / fused_ns,
         });
+
+        // Walsh–Hadamard transform on the default path and with the outer-parallelism
+        // guard held (the serial path an angle-finding worker takes).
+        let wht_timer = BenchTimer::new(5 * reps);
+        let (default_min, _) = wht_timer.measure(|| walsh::walsh_hadamard(black_box(&mut psi)));
+        let (guard_min, _) = {
+            let _serial = enter_outer_parallelism();
+            wht_timer.measure(|| walsh::walsh_hadamard(black_box(&mut psi)))
+        };
+        let default_ns = default_min.as_nanos() as f64;
+        let guard_ns = guard_min.as_nanos() as f64;
+        let regions = walsh::walsh_hadamard_regions(psi.len());
+        println!(
+            "walsh-hadamard   n={n:2}  default {:>10.1} µs ({regions} regions)   guard {:>10.1} µs",
+            default_ns / 1e3,
+            guard_ns / 1e3,
+        );
+        walsh_rows.push(WalshHadamardRow {
+            n,
+            parallel_regions: regions,
+            bytes_per_call: (n as f64 + 1.0) * 32.0 * psi.len() as f64,
+            default_ns,
+            outer_guard_ns: guard_ns,
+        });
     }
 
     let snapshot = Snapshot {
         description: "juliqaoa kernel snapshot: dense vs table-driven phase separator \
-                      (MaxCut G(n,0.5)) and unfused vs fused GM-QAOA rounds; times are \
-                      minimum over repetitions, nanoseconds per call"
+                      (MaxCut G(n,0.5)), unfused vs fused GM-QAOA rounds, and the \
+                      Walsh-Hadamard transform on the default path and with an \
+                      outer-parallelism guard held; times are minimum over \
+                      repetitions, nanoseconds per call"
             .to_string(),
         threads: rayon::current_num_threads(),
         par_threshold: juliqaoa_linalg::par_threshold(),
         phase_separator: phase_rows,
         grover_round: grover_rows,
+        walsh_hadamard: walsh_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&output, json).expect("snapshot file is writable");

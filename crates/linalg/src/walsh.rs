@@ -4,12 +4,38 @@
 //! Hadamard rotation: `e^{-iβ f(X_i)} = H^{⊗n} e^{-iβ f(Z_i)} H^{⊗n}` (Eq. 2 in the
 //! paper).  Applying `H^{⊗n}` to a statevector is the butterfly-structured fast
 //! Walsh–Hadamard transform, costing `O(n·2ⁿ)` — the "appropriate tensor contractions"
-//! of §2.2.  This module provides an in-place, normalised (unitary) transform with a
-//! rayon-parallel path for large states.
+//! of §2.2.  This module provides an in-place, normalised (unitary) transform.
+//!
+//! # Cache-blocked, two-phase kernel
+//!
+//! Butterfly level `h` (`h = 1, 2, 4, …, len/2`) combines amplitudes `i` and `i + h`.
+//! Serial and parallel transforms share one blocked kernel and differ only in whether
+//! its phases fan out across threads:
+//!
+//! 1. **Phase 1** splits the state into contiguous chunks of
+//!    `min(BLOCK, len / current_num_threads().next_power_of_two())` amplitudes
+//!    (`min(BLOCK, len)` on the serial path), with `BLOCK = 2^15` amplitudes
+//!    (512 KiB, sized to stay in L2).  Every level `h < chunk` pairs amplitudes inside
+//!    one chunk, so each chunk runs all of them while it is cache-resident, two
+//!    levels per sweep (radix 4).  The whole phase is one parallel region.
+//! 2. **Phase 2** runs the levels `h ≥ chunk`, which pair amplitudes across chunks,
+//!    one parallel region per level.
+//!
+//! The normalisation `2^{-n/2}` is fused into the final butterfly level.  A parallel
+//! transform therefore opens `1 + log2(len / chunk)` regions
+//! ([`walsh_hadamard_regions`]): a `2^16` transform on 2 threads opens 2, against 17
+//! for one region per level plus a separate scale pass.
+//!
+//! Every amplitude sees the same additions and subtractions in the same order as the
+//! textbook level-by-level loop, followed by one multiplication by the scale, so the
+//! output is bit-identical to it for every `n` and every thread count.
 
 use crate::{parallel_kernels_enabled, Complex64};
 use juliqaoa_telemetry::kernels::KERNELS;
 use rayon::prelude::*;
+
+/// Largest phase-1 chunk, in amplitudes: `2^15 × 16 B = 512 KiB`, sized to stay in L2.
+const BLOCK: usize = 1 << 15;
 
 /// Applies the unitary transform `H^{⊗n}` to `state` in place.
 ///
@@ -19,23 +45,8 @@ use rayon::prelude::*;
 /// # Panics
 /// Panics if the length is not a power of two.
 pub fn walsh_hadamard(state: &mut [Complex64]) {
-    let len = state.len();
-    assert!(
-        len.is_power_of_two(),
-        "statevector length must be a power of two"
-    );
-    KERNELS.wht_passes.inc();
-    if parallel_kernels_enabled(len) {
-        walsh_hadamard_butterflies_parallel(state);
-    } else {
-        walsh_hadamard_butterflies_serial(state);
-    }
-    let scale = 1.0 / (len as f64).sqrt();
-    if parallel_kernels_enabled(len) {
-        state.par_iter_mut().for_each(|z| *z = z.scale(scale));
-    } else {
-        state.iter_mut().for_each(|z| *z = z.scale(scale));
-    }
+    let scale = 1.0 / (state.len() as f64).sqrt();
+    transform(state, Some(scale));
 }
 
 /// Applies the *unnormalised* Walsh–Hadamard transform (all butterflies, no `2^{-n/2}`).
@@ -43,68 +54,152 @@ pub fn walsh_hadamard(state: &mut [Complex64]) {
 /// Useful when the caller folds the normalisation into another constant; applying it
 /// twice multiplies the state by `2ⁿ`.
 pub fn walsh_hadamard_unnormalized(state: &mut [Complex64]) {
+    transform(state, None);
+}
+
+/// Number of parallel regions (scoped-thread fan-outs) one transform of `len`
+/// amplitudes opens on the calling thread: `0` on the serial path, otherwise one for
+/// phase 1 plus one per cross-chunk level.
+pub fn walsh_hadamard_regions(len: usize) -> usize {
+    let plan = Plan::new(len);
+    if !plan.parallel || rayon::current_num_threads() < 2 || plan.chunk >= len {
+        return 0;
+    }
+    1 + (len / plan.chunk).trailing_zeros() as usize
+}
+
+/// How one transform splits its state (see the module docs).
+struct Plan {
+    /// Whether the phases fan out across threads.
+    parallel: bool,
+    /// Phase-1 chunk length: levels `h < chunk` stay inside one chunk.
+    chunk: usize,
+    /// Longest run of butterfly pairs one phase-2 work item handles.
+    piece: usize,
+}
+
+impl Plan {
+    fn new(len: usize) -> Self {
+        let parallel = parallel_kernels_enabled(len);
+        let ways = if parallel {
+            rayon::current_num_threads().next_power_of_two()
+        } else {
+            1
+        };
+        Plan {
+            parallel,
+            chunk: BLOCK.min(len / ways).max(2),
+            piece: (len / (2 * ways)).max(1),
+        }
+    }
+}
+
+fn transform(state: &mut [Complex64], scale: Option<f64>) {
     let len = state.len();
     assert!(
         len.is_power_of_two(),
         "statevector length must be a power of two"
     );
     KERNELS.wht_passes.inc();
-    if parallel_kernels_enabled(len) {
-        walsh_hadamard_butterflies_parallel(state);
+    if len < 2 {
+        // H^{⊗0} is the identity and its scale is 1.
+        return;
+    }
+    let plan = Plan::new(len);
+    let chunk = plan.chunk;
+    // The scale rides on the final level, wherever that level runs.
+    let chunk_scale = if chunk == len { scale } else { None };
+    if plan.parallel {
+        state
+            .par_chunks_mut(chunk)
+            .for_each(|c| chunk_levels(c, chunk_scale));
     } else {
-        walsh_hadamard_butterflies_serial(state);
+        state
+            .chunks_mut(chunk)
+            .for_each(|c| chunk_levels(c, chunk_scale));
+    }
+    let mut h = chunk;
+    while h < len {
+        let level_scale = if 2 * h == len { scale } else { None };
+        cross_chunk_level(state, h, &plan, level_scale);
+        h *= 2;
     }
 }
 
-fn walsh_hadamard_butterflies_serial(state: &mut [Complex64]) {
-    let len = state.len();
+/// Phase 1: every level `h < chunk.len()` inside one contiguous chunk.  Levels go two
+/// at a time (radix 4) while two remain: the same operations in half the sweeps.
+fn chunk_levels(chunk: &mut [Complex64], last_scale: Option<f64>) {
+    let len = chunk.len();
     let mut h = 1;
-    while h < len {
-        let step = h * 2;
-        let mut start = 0;
-        while start < len {
-            for i in start..start + h {
-                let a = state[i];
-                let b = state[i + h];
-                state[i] = a + b;
-                state[i + h] = a - b;
-            }
-            start += step;
+    while 4 * h <= len {
+        let scale = if 4 * h == len { last_scale } else { None };
+        for block in chunk.chunks_exact_mut(4 * h) {
+            radix4(block, scale);
         }
-        h = step;
+        h *= 4;
+    }
+    if h < len {
+        // An odd level count leaves the single level h = len/2.
+        let (lo, hi) = chunk.split_at_mut(h);
+        butterflies(lo, hi, last_scale);
     }
 }
 
-fn walsh_hadamard_butterflies_parallel(state: &mut [Complex64]) {
-    let len = state.len();
-    let mut h = 1;
-    while h < len {
-        let step = h * 2;
-        let num_blocks = len / step;
-        if num_blocks >= rayon::current_num_threads() {
-            // Many independent blocks: parallelise across blocks.
-            state.par_chunks_mut(step).for_each(|block| {
-                let (lo, hi) = block.split_at_mut(h);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let x = *a;
-                    let y = *b;
-                    *a = x + y;
-                    *b = x - y;
-                }
-            });
-        } else {
-            // Few large blocks: parallelise the pair loop inside each block.
-            for block in state.chunks_mut(step) {
-                let (lo, hi) = block.split_at_mut(h);
-                lo.par_iter_mut().zip(hi.par_iter_mut()).for_each(|(a, b)| {
-                    let x = *a;
-                    let y = *b;
-                    *a = x + y;
-                    *b = x - y;
-                });
-            }
+/// Phase 2: one level `h ≥ chunk`, split into runs of at most `plan.piece` pairs that
+/// fan out as a single parallel region.
+fn cross_chunk_level(state: &mut [Complex64], h: usize, plan: &Plan, scale: Option<f64>) {
+    let piece = plan.piece.min(h);
+    let pairs = state.chunks_exact_mut(2 * h).flat_map(|block| {
+        let (lo, hi) = block.split_at_mut(h);
+        lo.chunks_mut(piece).zip(hi.chunks_mut(piece))
+    });
+    if plan.parallel {
+        pairs
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(lo, hi)| butterflies(lo, hi, scale));
+    } else {
+        pairs.for_each(|(lo, hi)| butterflies(lo, hi, scale));
+    }
+}
+
+/// One level: `(a, b) ← (a + b, a − b)` for each pair, then times `scale` if given.
+fn butterflies(lo: &mut [Complex64], hi: &mut [Complex64], scale: Option<f64>) {
+    fn run(lo: &mut [Complex64], hi: &mut [Complex64], out: impl Fn(Complex64) -> Complex64) {
+        for (a, b) in lo.iter_mut().zip(hi) {
+            let (x, y) = (*a, *b);
+            *a = out(x + y);
+            *b = out(x - y);
         }
-        h = step;
+    }
+    match scale {
+        None => run(lo, hi, |z| z),
+        Some(s) => run(lo, hi, |z| z.scale(s)),
+    }
+}
+
+/// Levels `h` and `2h` over one block of `4h`: the quarters `(x0, x1, x2, x3)` become
+/// `(s0 + s2, s1 + s3, s0 − s2, s1 − s3)` with `s = (x0 + x1, x0 − x1, x2 + x3,
+/// x2 − x3)`, then times `scale` if given.
+fn radix4(block: &mut [Complex64], scale: Option<f64>) {
+    fn run(block: &mut [Complex64], out: impl Fn(Complex64) -> Complex64) {
+        let h = block.len() / 4;
+        let (lo, hi) = block.split_at_mut(2 * h);
+        let (q0, q1) = lo.split_at_mut(h);
+        let (q2, q3) = hi.split_at_mut(h);
+        let quads = q0.iter_mut().zip(q1).zip(q2).zip(q3);
+        for (((a, b), c), d) in quads {
+            let (s0, s1) = (*a + *b, *a - *b);
+            let (s2, s3) = (*c + *d, *c - *d);
+            *a = out(s0 + s2);
+            *b = out(s1 + s3);
+            *c = out(s0 - s2);
+            *d = out(s1 - s3);
+        }
+    }
+    match scale {
+        None => run(block, |z| z),
+        Some(s) => run(block, |z| z.scale(s)),
     }
 }
 
@@ -196,24 +291,82 @@ mod tests {
         }
     }
 
+    /// Textbook transform: every butterfly level over the whole state, then a separate
+    /// scale pass.  The blocked kernel must reproduce it bit for bit.
+    fn textbook(state: &mut [Complex64], scale: Option<f64>) {
+        let len = state.len();
+        let mut h = 1;
+        while h < len {
+            for start in (0..len).step_by(2 * h) {
+                for i in start..start + h {
+                    let (a, b) = (state[i], state[i + h]);
+                    state[i] = a + b;
+                    state[i + h] = a - b;
+                }
+            }
+            h *= 2;
+        }
+        if let Some(s) = scale {
+            state.iter_mut().for_each(|z| *z = z.scale(s));
+        }
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Both transforms against the textbook reference for `n = 0..=18`: one chunk,
+    /// one cross-chunk level and several, on the parallel path from `2^16` up.
+    fn assert_matches_textbook() {
+        for n in 0..=18 {
+            let len = 1usize << n;
+            let orig: Vec<Complex64> = (0..len)
+                .map(|i| {
+                    Complex64::new(
+                        ((i * 37) % 101) as f64 * 0.01 - 0.3,
+                        ((i * 13) % 17) as f64 * 0.05,
+                    )
+                })
+                .collect();
+            let scale = 1.0 / (len as f64).sqrt();
+            let mut expected = orig.clone();
+            textbook(&mut expected, Some(scale));
+            let mut got = orig.clone();
+            walsh_hadamard(&mut got);
+            assert_eq!(bits(&got), bits(&expected), "walsh_hadamard n={n}");
+
+            let mut expected = orig.clone();
+            textbook(&mut expected, None);
+            let mut got = orig;
+            walsh_hadamard_unnormalized(&mut got);
+            assert_eq!(bits(&got), bits(&expected), "unnormalized n={n}");
+        }
+    }
+
     #[test]
     fn parallel_path_matches_serial_path() {
-        let len = crate::par_threshold() * 4; // force the parallel branch
-        let orig: Vec<Complex64> = (0..len)
-            .map(|i| {
-                Complex64::new(
-                    ((i * 37) % 101) as f64 * 0.01,
-                    ((i * 13) % 17) as f64 * 0.05,
-                )
-            })
-            .collect();
-        let mut par = orig.clone();
-        walsh_hadamard(&mut par);
-        let mut ser = orig;
-        walsh_hadamard_butterflies_serial(&mut ser);
-        let scale = 1.0 / (len as f64).sqrt();
-        ser.iter_mut().for_each(|z| *z = z.scale(scale));
-        assert!(vector::max_abs_diff(&par, &ser) < 1e-9);
+        assert_matches_textbook();
+        let _serial = crate::enter_outer_parallelism();
+        assert_matches_textbook();
+    }
+
+    #[test]
+    fn regions_per_transform() {
+        if crate::par_threshold() <= 1 << 16 {
+            // 2 threads: 2^16 splits into two 2^15 chunks and one cross-chunk level;
+            // 2^18 into 2^15 chunks (BLOCK) and three cross-chunk levels.
+            let expected = match rayon::current_num_threads() {
+                1 => Some((0, 0)),
+                2 => Some((2, 4)),
+                _ => None,
+            };
+            if let Some((at16, at18)) = expected {
+                assert_eq!(walsh_hadamard_regions(1 << 16), at16);
+                assert_eq!(walsh_hadamard_regions(1 << 18), at18);
+            }
+        }
+        let _serial = crate::enter_outer_parallelism();
+        assert_eq!(walsh_hadamard_regions(1 << 18), 0);
     }
 
     #[test]

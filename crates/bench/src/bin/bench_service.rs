@@ -63,8 +63,7 @@ struct WorkloadRow {
     instance_builds: u64,
     prefix_hits: u64,
     prefix_misses: u64,
-    /// Prefix hits per worker — how much checkpoint warmth each concurrent worker
-    /// actually collected (a single parked cache starves all but one worker).
+    /// Prefix hits divided by the worker count (prefix reuse stays inside each job).
     prefix_hits_per_worker: f64,
     /// FNV-1a digest over the sorted `(id, expectation bits, angle bits)` results:
     /// equal digests across worker counts prove bit-identical results.

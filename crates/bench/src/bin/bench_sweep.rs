@@ -124,7 +124,7 @@ fn scan(
 ) -> (OptimizeResult, f64, PrefixStats) {
     let order = qaoa_axis_order(p);
     let tau = 2.0 * std::f64::consts::PI;
-    let home = PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget());
+    let home = PrefixCacheHome::with_budget(juliqaoa_core::prefix::DEFAULT_PREFIX_BUDGET_BYTES);
     let started = Instant::now();
     let res = grid_search_ordered(
         || {

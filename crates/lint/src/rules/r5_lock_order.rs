@@ -2,12 +2,11 @@
 //!
 //! Deadlocks in this codebase would hide in the engine's concurrency: the
 //! instance-cache lock (which also guards the single-flight table), the
-//! simulator-slot cache lock, the per-slot pool locks, `PrepFlight` and
-//! `PrefixCacheHome`, wherever one thread takes lock A then B while another
-//! takes B then A.  This rule extracts every `.lock()` acquisition per file,
-//! tracks which guards are lexically still live (a guard dies when its
-//! enclosing brace block closes), records the order edges `held → acquired`,
-//! and flags every edge that participates in a cycle.
+//! simulator-slot cache lock, `PrepFlight` and `PrefixCacheHome`, wherever one
+//! thread takes lock A then B while another takes B then A.  This rule extracts
+//! every `.lock()` acquisition per file, tracks which guards are lexically still
+//! live (a guard dies when its enclosing brace block closes), records the order
+//! edges `held → acquired`, and flags every edge that participates in a cycle.
 //!
 //! The analysis is deliberately conservative: guards bound to temporaries are
 //! assumed held until the end of the block, and receivers are named by their

@@ -18,10 +18,11 @@
 //! 1. the **instance cache** above (objective vector + compression, keyed by
 //!    [`InstanceId`]);
 //! 2. the **simulator slot cache**: per `(instance, mixer)` pair, a shared
-//!    [`Simulator`] (so repeat jobs skip re-cloning the `2ⁿ` objective into a fresh
-//!    simulator) plus a bounded pool of parked [`PrefixCache`]s whose per-round
-//!    checkpoint statevectors survive from one job to the next.  Prefix reuse is
-//!    bit-identical by construction, so the determinism guarantee is untouched.
+//!    [`Simulator`], so repeat jobs skip re-cloning the `2ⁿ` objective into a fresh
+//!    simulator.
+//!
+//! Prefix-state reuse stays inside one job: each job builds a fresh
+//! [`PrefixCacheHome`], so its reuse counters are a pure function of its spec too.
 //!
 //! # Concurrency scaling
 //!
@@ -29,7 +30,7 @@
 //! serialising on shared state:
 //!
 //! * each cache is one [`LruCache`] behind one mutex, holding at most the configured
-//!   number of entries exactly.  A job takes at most five of these critical
+//!   number of entries exactly.  A job takes at most four of these critical
 //!   sections, each one `HashMap` operation, against 15 ms to seconds of compute,
 //!   so the locks are never the contended resource at service worker counts;
 //! * instance preparation is **single-flight**: concurrent misses on one
@@ -37,12 +38,7 @@
 //!   rest block on the in-flight entry and share the result (counted in
 //!   `prep_coalesced`), so a thundering herd on a cold hot instance pays one build,
 //!   not one per worker.  The in-flight table lives under the instance-cache lock,
-//!   so a hit, joining a flight and registering one are a single critical section;
-//! * each simulator slot parks a small **pool** of prefix caches, not a single
-//!   `Option` — concurrent jobs on the same `(instance, mixer)` each check out a
-//!   warm set of checkpoints, and returns merge *deepest-wins*
-//!   ([`PrefixCache::merge_deeper`]) instead of keeping whichever cache came back
-//!   first.
+//!   so a hit, joining a flight and registering one are a single critical section.
 
 use crate::lru::LruCache;
 use crate::spec::{
@@ -50,7 +46,8 @@ use crate::spec::{
     SampleReport, SamplingSpec, RATIO_HISTOGRAM_BINS,
 };
 use juliqaoa_combinatorics::DickeSubspace;
-use juliqaoa_core::{Angles, PrefixCache, QaoaError, Simulator};
+use juliqaoa_core::prefix::DEFAULT_PREFIX_BUDGET_BYTES;
+use juliqaoa_core::{Angles, QaoaError, Simulator};
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
@@ -249,17 +246,8 @@ impl EngineTelemetry {
     }
 }
 
-/// A shared simulator plus the parked checkpoint pool for one `(instance, mixer)`
-/// pair.  The pool holds up to [`PARKED_POOL_CACHES`] prefix caches so *each* of a
-/// small worker pool's concurrent jobs on the slot can start from warm checkpoints —
-/// a single parked `Option` hands warmth to one job and starts the rest cold.
-struct SimSlot {
-    sim: Arc<Simulator>,
-    pool: Vec<PrefixCache>,
-}
-
-/// The simulator-slot cache: shared, individually locked slots per `(instance, mixer)`.
-type SimSlotCache = LruCache<(InstanceId, MixerSpec), Arc<Mutex<SimSlot>>>;
+/// The simulator-slot cache: one shared [`Simulator`] per `(instance, mixer)`.
+type SimSlotCache = LruCache<(InstanceId, MixerSpec), Arc<Simulator>>;
 
 /// The instance cache together with its single-flight table, under one lock.
 struct Instances {
@@ -268,21 +256,6 @@ struct Instances {
     /// happens outside the lock.
     inflight: HashMap<InstanceId, Arc<PrepFlight>>,
 }
-
-/// Maximum prefix caches parked per simulator slot.  Sized for a small worker pool
-/// hammering one hot instance: each concurrent job checks a warm cache out and parks
-/// it back.  More would pin statevector memory for warmth nobody collects.
-const PARKED_POOL_CACHES: usize = 4;
-
-/// Statevector-sized buffers one parked prefix cache may pin.  [`Engine::run_job`]
-/// refuses to park a cache that has grown beyond this allowance (deep-`p` sweeps
-/// simply restart cold next job), and the slot's LRU weight is re-priced to the
-/// *actually parked* bytes at every checkout and park, so the byte budget on the
-/// slot LRU tracks real resident memory instead of a worst-case reservation.
-const PARKED_PREFIX_STATES: usize = 8;
-
-/// Bytes of one statevector element (`Complex64`).
-const STATE_ELEM_BYTES: usize = 16;
 
 /// Single-flight coordination for one in-progress instance preparation: the builder
 /// publishes exactly once, waiters block on the condvar.
@@ -397,7 +370,7 @@ impl JobObjective<'_> {
     ) -> JobObjective<'a> {
         match sampling {
             None => JobObjective::Exact(QaoaObjective::new(sim).with_cache_home(home)),
-            // Sampled objectives share the same parked prefix cache as exact jobs
+            // Sampled objectives share the job's prefix cache home as exact jobs do
             // (the forward evolution is identical work) and tally every draw —
             // including the ones hidden inside FD gradient probes — so the engine's
             // shots_drawn counter is exact.  Shot streams are derived per
@@ -501,15 +474,13 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Fetches (or builds and caches) the shared simulator slot for a problem/mixer
-    /// pair.  The slot also parks the checkpoint pool between jobs so prefix
-    /// statevectors survive from one job to the next on the same instance.
+    /// Fetches (or builds and caches) the shared simulator for a problem/mixer pair.
     fn simulator_slot(
         &self,
         problem: &BuiltProblem,
         mixer_spec: &MixerSpec,
         prepared: &PreparedObjective,
-    ) -> Result<Arc<Mutex<SimSlot>>, ServiceError> {
+    ) -> Result<Arc<Simulator>, ServiceError> {
         let key = (problem.instance_id, *mixer_spec);
         let cached = self
             .sims
@@ -517,56 +488,24 @@ impl Engine {
             .expect("slot cache poisoned")
             .get(&key)
             .cloned();
-        if let Some(slot) = cached {
-            return Ok(slot);
+        if let Some(sim) = cached {
+            return Ok(sim);
         }
         // Build outside the lock; racing workers may both build, but the insert
-        // below hands every caller the one winning slot, so the checkpoint pool is
-        // never split across two live copies.
+        // below hands every caller the one winning simulator, so one key never has
+        // two live copies.  The slot weighs the simulator's copy of the prepared data.
         let mixer = mixer_spec.build(problem).map_err(ServiceError::Spec)?;
-        let sim = Simulator::from_parts(
+        let sim = Arc::new(Simulator::from_parts(
             prepared.values.clone(),
             prepared.classes.clone(),
             vec![mixer],
-        )?;
-        let slot = Arc::new(Mutex::new(SimSlot {
-            sim: Arc::new(sim),
-            pool: Vec::new(),
-        }));
-        // A fresh slot weighs only the simulator's copy of the prepared data; the
-        // checkpoint pool's bytes are charged as they are actually parked (see
-        // `update_slot_weight`), so an idle slot never pays for warmth it does not
-        // hold — charging the whole-pool worst case up front would cut co-resident
-        // slots ~4× at larger `n` for no resident memory at all.
+        )?);
         let mut sims = self.sims.lock().expect("slot cache poisoned");
         if let Some(winner) = sims.get(&key) {
             return Ok(winner.clone());
         }
-        sims.insert_weighted(key, slot.clone(), prepared.approx_bytes());
-        Ok(slot)
-    }
-
-    /// Re-prices a slot in the LRU as the sum of its prepared data and the bytes its
-    /// pool *actually* parks right now.  Called after every checkout (weight drops)
-    /// and park (weight grows).  Uses `set_weight`, never an insert: if the LRU
-    /// has already evicted this slot, a job still holding its `Arc` must not
-    /// resurrect it and evict a live slot in its place — the orphaned pool simply
-    /// dies with the last `Arc`.  Concurrent jobs may briefly leave the recorded
-    /// weight one update stale; the next checkout or park corrects it.
-    fn update_slot_weight(
-        &self,
-        key: (InstanceId, MixerSpec),
-        slot: &Arc<Mutex<SimSlot>>,
-        prepared_bytes: u64,
-    ) {
-        let pooled: usize = {
-            let slot = slot.lock().expect("sim slot poisoned");
-            slot.pool.iter().map(|cache| cache.bytes()).sum()
-        };
-        self.sims
-            .lock()
-            .expect("slot cache poisoned")
-            .set_weight(&key, prepared_bytes + pooled as u64);
+        sims.insert_weighted(key, sim.clone(), prepared.approx_bytes());
+        Ok(sim)
     }
 
     /// Fetches (or computes and caches) the pre-computation for a built problem.
@@ -683,17 +622,6 @@ impl Engine {
     /// Number of `(instance, mixer)` simulator slots currently cached.
     pub fn cached_simulators(&self) -> usize {
         self.sims.lock().expect("slot cache poisoned").len()
-    }
-
-    /// Total prefix caches currently parked across all simulator-slot pools — how
-    /// many concurrent jobs could start from warm checkpoints right now.
-    pub fn parked_prefix_caches(&self) -> usize {
-        // Clone the slots out first: a slot lock is never taken under the cache lock.
-        let slots = self.sims.lock().expect("slot cache poisoned").values();
-        slots
-            .iter()
-            .map(|slot| slot.lock().expect("sim slot poisoned").pool.len())
-            .sum()
     }
 
     /// Records a job that died in a panic after a `catch_unwind` recovered it —
@@ -834,31 +762,10 @@ impl Engine {
             // lint:allow(R3, intentional fault-injection hook - the panic is the feature under test)
             panic!("fault injection: job {:?} panicked mid-run", spec.id);
         }
-        let slot_key = (problem.instance_id, spec.mixer);
-        let slot = self.simulator_slot(&problem, &spec.mixer, &prepared)?;
-        // Check the shared simulator and the warmest parked prefix cache out of the
-        // slot's pool.  Concurrent jobs on the same slot share the simulator, and up
-        // to PARKED_POOL_CACHES of them start from warm checkpoints — results are
-        // identical warm or cold.
-        let (sim, parked) = {
-            let mut slot = slot.lock().expect("sim slot poisoned");
-            let warmest = slot
-                .pool
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, cache)| cache.warmth())
-                .map(|(i, _)| i);
-            let parked = warmest.map(|i| slot.pool.swap_remove(i));
-            (slot.sim.clone(), parked)
-        };
-        if parked.is_some() {
-            // The checked-out cache's bytes left the pool; re-price the slot.
-            self.update_slot_weight(slot_key, &slot, prepared.approx_bytes());
-        }
-        let home = match parked {
-            Some(cache) => PrefixCacheHome::new(cache),
-            None => PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget()),
-        };
+        let sim = self.simulator_slot(&problem, &spec.mixer, &prepared)?;
+        // A fresh home per job: prefix reuse never outlives the job, so the job's
+        // reuse counters depend on its spec alone.
+        let home = PrefixCacheHome::with_budget(DEFAULT_PREFIX_BUDGET_BYTES);
         let prep_ms = prep_started.elapsed().as_secs_f64() * 1e3;
         self.telemetry.prep_ms.observe(prep_ms);
         if let Some(spans) = &spans {
@@ -982,8 +889,8 @@ impl Engine {
         // Sample jobs end with a readout at the best angles: the same seeded shot
         // streams the optimizer saw at that point, reported as a histogram plus the
         // best sampled bitstring (the answer a hardware run would hand back).  The
-        // readout runs before the cache home is parked so it replays the prefix the
-        // optimizer just left at `res.x` and its reuse counters fold into the job's.
+        // readout checks its cache out of the job's home, so it replays the prefix
+        // the optimizer just left at `res.x` and its reuse counters fold into the job's.
         let readout_started = Instant::now();
         let sample_report = match sampling {
             None => None,
@@ -1058,42 +965,12 @@ impl Engine {
             0.0
         };
 
-        // Every objective (and the readout) has been dropped; fold the reuse
-        // counters into the engine and park the (possibly warmed) cache for the
-        // next job on this slot.
+        // Every objective (and the readout) has been dropped; fold the job's reuse
+        // counters into the engine.  The home and its checkpoints die with the job.
         let pstats = home.stats();
         self.prefix_hits.add(pstats.hits);
         self.prefix_misses.add(pstats.misses);
         self.prefix_rounds_saved.add(pstats.rounds_saved);
-        if let Some(cache) = home.into_cache() {
-            // Park only caches within the per-cache allowance; an oversized cache
-            // (very deep p) is dropped rather than pinning unbounded statevector
-            // memory for one slot.
-            let allowance = PARKED_PREFIX_STATES * sim.dim() * STATE_ELEM_BYTES;
-            if cache.bytes() <= allowance {
-                {
-                    let mut slot = slot.lock().expect("sim slot poisoned");
-                    if slot.pool.len() < PARKED_POOL_CACHES {
-                        slot.pool.push(cache);
-                    } else if let Some(coldest) = slot
-                        .pool
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, pooled)| pooled.warmth())
-                        .map(|(i, _)| i)
-                    {
-                        // Full pool: deepest wins.  `merge_deeper` keeps whichever
-                        // of the returning cache and the coldest pooled entry serves
-                        // deeper prefixes, so a warmer cache is never discarded for
-                        // returning late.
-                        let evicted = slot.pool.swap_remove(coldest);
-                        slot.pool.push(cache.merge_deeper(evicted));
-                    }
-                }
-                // The parked bytes are now resident; re-price the slot in the LRU.
-                self.update_slot_weight(slot_key, &slot, prepared.approx_bytes());
-            }
-        }
 
         let expectation = -res.value;
         let quality = if prepared.max > prepared.min {
@@ -1266,43 +1143,43 @@ mod tests {
     }
 
     #[test]
-    fn a_follower_job_on_a_warm_slot_checks_out_the_parked_cache_and_records_hits() {
-        // Regression test for the parked-cache write-back policy: the warmth a job
-        // leaves behind must actually reach the next job on the slot.  The
-        // hand-off is observable in the pool count — the follower checks the parked
-        // cache *out* (so the pool holds one cache after it returns, not two) — and
-        // in the follower recording prefix hits of its own.  Serial scan (guard
-        // held) keeps the counters deterministic.
+    fn per_job_reuse_counters_are_a_pure_function_of_the_spec() {
+        // Prefix reuse stays inside one job, so the same grid job resubmitted to a
+        // warm simulator slot records the same hits, misses and rounds saved as it
+        // did cold — and warmth never changes answers.  Serial scan (guard held)
+        // keeps the counters independent of the host's core count.
         let _guard = juliqaoa_linalg::enter_outer_parallelism();
-        let grid_job = |id: &str| {
-            let mut job = quick_job(id, 0, 3);
-            job.p = 2;
-            job.optimizer = OptimizerSpec::GridSearch { resolution: 4 };
-            job
-        };
+        let mut job = quick_job("grid", 0, 3);
+        job.p = 2;
+        job.optimizer = OptimizerSpec::GridSearch { resolution: 4 };
         let engine = Engine::new(8);
-        let warm = engine
-            .run_job(&grid_job("warmup"), &RunControl::new())
-            .unwrap();
-        assert_eq!(engine.parked_prefix_caches(), 1, "warm-up parks its cache");
-        let before = engine.stats();
-        let follow = engine
-            .run_job(&grid_job("follower"), &RunControl::new())
-            .unwrap();
-        let follower_hits = engine.stats().prefix_hits - before.prefix_hits;
-        assert!(
-            follower_hits > 0,
-            "a follower on a warm slot must record prefix hits"
-        );
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let before = engine.stats();
+            let res = engine.run_job(&job, &RunControl::new()).unwrap();
+            let after = engine.stats();
+            let delta = (
+                after.prefix_hits - before.prefix_hits,
+                after.prefix_misses - before.prefix_misses,
+                after.prefix_rounds_saved - before.prefix_rounds_saved,
+            );
+            runs.push((delta, res));
+        }
         assert_eq!(
-            engine.parked_prefix_caches(),
+            engine.cached_simulators(),
             1,
-            "the follower must check out the parked cache (a second pooled cache \
-             would mean the hand-off never happened)"
+            "all three runs share one slot"
         );
-        // Warmth never changes answers.
-        assert_eq!(warm.expectation.to_bits(), follow.expectation.to_bits());
-        assert_eq!(warm.angles, follow.angles);
+        let (first_delta, first) = &runs[0];
+        assert!(first_delta.0 > 0, "a grid scan must record prefix hits");
+        for (delta, res) in &runs[1..] {
+            assert_eq!(
+                delta, first_delta,
+                "reuse counters must not depend on slot warmth"
+            );
+            assert_eq!(res.expectation.to_bits(), first.expectation.to_bits());
+            assert_eq!(res.angles, first.angles);
+        }
     }
 
     #[test]
@@ -1429,7 +1306,7 @@ mod tests {
             }
         }
         assert_eq!(engine.stats().sample_jobs, 3);
-        // Sampled forward passes ride the same parked prefix caches as exact jobs.
+        // Sampled forward passes reuse prefixes within each job as exact jobs do.
         assert!(engine.stats().prefix_hits > 0);
     }
 

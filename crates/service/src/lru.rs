@@ -90,7 +90,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         if let Some(old) = self.map.remove(&key) {
             self.total_weight -= old.weight;
         }
-        self.make_room(weight);
+        while !self.map.is_empty()
+            && (self.map.len() >= self.capacity
+                || self
+                    .weight_budget
+                    .is_some_and(|budget| self.total_weight + weight > budget))
+        {
+            self.pop_lru();
+        }
         self.total_weight += weight;
         self.map.insert(
             key,
@@ -100,36 +107,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 weight,
             },
         );
-    }
-
-    /// Re-prices a cached entry without touching its recency, returning whether the
-    /// key was present.  Like [`Self::insert_weighted`] it evicts least-recently-used
-    /// entries until the budget holds — but only *other* entries, and it never
-    /// inserts an absent key, so a caller holding an already-evicted value cannot
-    /// resurrect it and evict a live entry in its place.
-    pub(crate) fn set_weight(&mut self, key: &K, weight: u64) -> bool {
-        let Some(mut entry) = self.map.remove(key) else {
-            return false;
-        };
-        self.total_weight -= entry.weight;
-        self.make_room(weight);
-        entry.weight = weight;
-        self.total_weight += weight;
-        self.map.insert(key.clone(), entry);
-        true
-    }
-
-    /// Evicts least-recently-used entries until one more entry of `weight` fits both
-    /// the entry capacity and the weight budget, or the cache is empty.
-    fn make_room(&mut self, weight: u64) {
-        while !self.map.is_empty()
-            && (self.map.len() >= self.capacity
-                || self
-                    .weight_budget
-                    .is_some_and(|budget| self.total_weight + weight > budget))
-        {
-            self.pop_lru();
-        }
     }
 
     /// Evicts the least-recently-used entry (a no-op when empty).
@@ -162,14 +139,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Sum of the weights of the cached entries.
     pub fn total_weight(&self) -> u64 {
         self.total_weight
-    }
-
-    /// Clones every cached value out, in no particular order.
-    pub fn values(&self) -> Vec<V>
-    where
-        V: Clone,
-    {
-        self.map.values().map(|e| e.value.clone()).collect()
     }
 }
 
@@ -246,51 +215,6 @@ mod tests {
         c.insert_weighted("a", 2, 3);
         assert_eq!(c.total_weight(), 3);
         assert_eq!(c.get(&"a"), Some(&2));
-    }
-
-    #[test]
-    fn set_weight_on_an_absent_key_inserts_nothing() {
-        let mut c: LruCache<&str, u32> = LruCache::with_weight_budget(4, Some(10));
-        c.insert_weighted("a", 1, 4);
-        assert!(!c.set_weight(&"b", 2));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&"b"), None);
-        assert_eq!(c.total_weight(), 4);
-    }
-
-    #[test]
-    fn set_weight_past_the_budget_evicts_other_lru_entries() {
-        let mut c = LruCache::with_weight_budget(100, Some(10));
-        c.insert_weighted("a", 1, 3);
-        c.insert_weighted("b", 2, 3);
-        c.insert_weighted("c", 3, 3);
-        // "a" is the LRU entry, but it is the one re-priced: "b" then "c" go
-        // instead, and "a" keeps its value.
-        assert!(c.set_weight(&"a", 8));
-        assert_eq!(c.total_weight(), 8);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&"a"), Some(&1));
-
-        // Re-pricing leaves recency alone: "x" stays the LRU entry after it.
-        let mut c = LruCache::with_weight_budget(100, Some(10));
-        c.insert_weighted("x", 1, 2);
-        c.insert_weighted("y", 2, 2);
-        assert!(c.set_weight(&"x", 3));
-        c.insert_weighted("z", 3, 6);
-        assert_eq!(c.get(&"x"), None);
-        assert_eq!(c.get(&"y"), Some(&2));
-        assert_eq!(c.total_weight(), 8);
-    }
-
-    #[test]
-    fn a_key_repriced_above_the_whole_budget_stays_cached_alone() {
-        let mut c = LruCache::with_weight_budget(100, Some(10));
-        c.insert_weighted("a", 1, 2);
-        c.insert_weighted("b", 2, 2);
-        assert!(c.set_weight(&"a", 50));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&"a"), Some(&1));
-        assert_eq!(c.total_weight(), 50);
     }
 
     #[test]
